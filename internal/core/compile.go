@@ -190,10 +190,7 @@ func (c *CompiledTransient) WarmBlocks(idx []int) error {
 		c.seeded = true
 	}
 	if idx == nil {
-		idx = make([]int, len(e.blocks))
-		for i := range idx {
-			idx[i] = i
-		}
+		idx = indices(len(e.blocks))
 	}
 	for _, bi := range idx {
 		b := e.blocks[bi]

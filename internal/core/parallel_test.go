@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,44 +13,53 @@ import (
 	"nanosim/internal/circuit"
 	"nanosim/internal/flop"
 	"nanosim/internal/part"
-	"nanosim/internal/wave"
 )
 
 // requireBitIdentical asserts two transient results are bitwise equal:
-// final state, every waveform sample, and the work statistics.
+// final state, every raw waveform sample, and the work statistics.
 func requireBitIdentical(t *testing.T, label string, a, b *Result) {
 	t.Helper()
+	if err := diffResults(a, b); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// diffResults reports the first difference between two transient
+// results: final state, then every series' raw samples (names, order,
+// lengths, each T and V bit for bit), then the work statistics.
+func diffResults(a, b *Result) error {
 	if len(a.X) != len(b.X) {
-		t.Fatalf("%s: state dim differs (%d vs %d)", label, len(a.X), len(b.X))
+		return fmt.Errorf("state dim differs (%d vs %d)", len(a.X), len(b.X))
 	}
 	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			t.Fatalf("%s: state row %d differs: %g vs %g", label, i, a.X[i], b.X[i])
+		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
+			return fmt.Errorf("state row %d differs: %g vs %g", i, a.X[i], b.X[i])
 		}
 	}
 	an, bn := a.Waves.Names(), b.Waves.Names()
 	if len(an) != len(bn) {
-		t.Fatalf("%s: signal count differs (%d vs %d)", label, len(an), len(bn))
+		return fmt.Errorf("signal count differs (%d vs %d)", len(an), len(bn))
 	}
-	for _, name := range an {
+	for k, name := range an {
+		if bn[k] != name {
+			return fmt.Errorf("signal %d is %q vs %q", k, name, bn[k])
+		}
 		wa, wb := a.Waves.Get(name), b.Waves.Get(name)
-		if wb == nil {
-			t.Fatalf("%s: signal %q missing from second run", label, name)
+		if len(wa.T) != len(wb.T) || len(wa.V) != len(wb.V) {
+			return fmt.Errorf("signal %q has %d vs %d samples", name, len(wa.T), len(wb.T))
 		}
-		va, vb, err := wave.CompareOn(wa, wb, 512)
-		if err != nil {
-			t.Fatalf("%s: compare %q: %v", label, name, err)
-		}
-		for i := range va {
-			if va[i] != vb[i] {
-				t.Fatalf("%s: signal %q sample %d differs: %g vs %g",
-					label, name, i, va[i], vb[i])
+		for i := range wa.T {
+			if math.Float64bits(wa.T[i]) != math.Float64bits(wb.T[i]) ||
+				math.Float64bits(wa.V[i]) != math.Float64bits(wb.V[i]) {
+				return fmt.Errorf("signal %q sample %d differs: (%g, %g) vs (%g, %g)",
+					name, i, wa.T[i], wa.V[i], wb.T[i], wb.V[i])
 			}
 		}
 	}
 	if a.Stats != b.Stats {
-		t.Fatalf("%s: stats differ: %+v vs %+v", label, a.Stats, b.Stats)
+		return fmt.Errorf("stats differ: %+v vs %+v", a.Stats, b.Stats)
 	}
+	return nil
 }
 
 // TestParallelPartitionedDeterministic is the partitioned-transient leg
@@ -159,29 +170,15 @@ func TestParallelPartitionCancelDeterministic(t *testing.T) {
 // requireBitIdenticalErr is the goroutine-safe variant: records a
 // divergence instead of failing the test from off the main goroutine.
 func requireBitIdenticalErr(dst *error, a, b *Result) {
-	if len(a.X) != len(b.X) {
-		*dst = errMismatch("state dim differs")
-		return
-	}
-	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			*dst = errMismatch("final state diverged from serial reference")
-			return
-		}
-	}
-	if a.Stats != b.Stats {
-		*dst = errMismatch("stats diverged from serial reference")
-	}
+	*dst = diffResults(a, b)
 }
 
-type errMismatch string
-
-func (e errMismatch) Error() string { return string(e) }
-
 // TestParallelStepZeroAlloc pins the per-step cost of the pool
-// machinery: dispatching a phase over a worker pool must not allocate —
-// the token handshake, cursor, and method-value phases are all
-// steady-state storage.
+// machinery and of the serial awake-set bookkeeping between phases:
+// dispatching a phase over a worker pool must not allocate — the token
+// handshake, cursor, and method-value phases are all steady-state
+// storage — and neither may the wake checks, the eq (10)-(12) scans, the
+// accepted-row copies or the row-subset recording of a step.
 func TestParallelStepZeroAlloc(t *testing.T) {
 	pool := newBlockPool(4)
 	defer pool.close()
@@ -197,5 +194,34 @@ func TestParallelStepZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("pool.run allocates %.1f times per dispatch, want 0", allocs)
+	}
+
+	// Stop the run mid-transient (MaxSteps), where some blocks sleep: the
+	// final step of a finished run lands on TStop, a breakpoint of every
+	// block, and wakes them all.
+	c, err := NewCompiledTransient(pipeline(12, 2), Options{
+		TStop: 25e-9, HInit: 0.1e-9, MaxSteps: 200, Partition: &part.Options{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err == nil {
+		t.Fatal("run finished inside MaxSteps; the check needs it stopped mid-transient")
+	}
+	e := c.pe
+	h, tNow := e.hPrev, e.phT+e.phH
+	allocs = testing.AllocsPerRun(100, func() {
+		e.wake(tNow, h)
+		e.localError(h)
+		e.stepBound(h)
+		e.acceptRows()
+		tNow += h
+		e.rec.SampleRows(tNow, e.x, e.awakeRows)
+	})
+	if allocs != 0 {
+		t.Errorf("awake-set step bookkeeping allocates %.1f times per step, want 0", allocs)
+	}
+	if len(e.activeIdx) == 0 || len(e.activeIdx) == len(e.blocks) {
+		t.Errorf("%d of %d blocks awake: the check needs a partly dormant step", len(e.activeIdx), len(e.blocks))
 	}
 }

@@ -12,7 +12,12 @@ package core
 // Time stepping is deliberately global and shared with the monolithic
 // engine (localErrorOf / stepBoundOf), so a partitioned run obeys the
 // same eq (10)-(12) accuracy contract; the partition changes *where*
-// work happens, not the error control.
+// work happens, not the error control. The serial per-step passes —
+// error control, state copies, recording — visit only the blocks that
+// are awake (plus, for eq (10), those awake at the last accepted step):
+// every other row is bit-frozen, and a frozen row or device contributes
+// exactly nothing to those passes, so skipping it changes no waveform
+// sample, state or step decision.
 
 import (
 	"fmt"
@@ -70,6 +75,12 @@ type pBlock struct {
 	fetGeq      []float64
 
 	tstamps []tearStamp
+
+	// rows lists the global rows the block owns, and scan the node rows
+	// among them plus every global device with a terminal on them — the
+	// block's share of the awake-set passes (indexBlockRows).
+	rows []int
+	scan scanSet
 
 	// Dormancy state. Source values split by physical kind: voltage-like
 	// inputs (own voltage sources, stiff tear remotes) compare against
@@ -132,6 +143,14 @@ type partEngine struct {
 	fnCorrect func(int)
 	fnAccept  func(int)
 	fnRefresh func(int)
+
+	// Awake-set bookkeeping, reused every step: active/activeIdx are the
+	// blocks awake in this attempt, wasActive those awake at the last
+	// accepted step, scanIdx the union (the eq (10) scan), and awakeRows
+	// the rows accepted from the awake blocks.
+	active, wasActive []bool
+	scanIdx           []int
+	awakeRows         []int
 }
 
 func newPartEngine(sys *stamp.System, p *part.Partition, opt Options) (*partEngine, error) {
@@ -231,6 +250,66 @@ func newPartEngine(sys *stamp.System, p *part.Partition, opt Options) (*partEngi
 	e.stats.Blocks = len(e.blocks)
 	e.stats.Tears = nt
 	return e, nil
+}
+
+// indexBlockRows builds each block's awake-set lists: the global rows it
+// owns, the node rows among them, and the global two-terminal devices
+// and FETs with a terminal on those rows. A device spanning blocks (a
+// torn two-terminal, a FET with a remote gate) is listed under every
+// block it touches, so the awake blocks' lists cover every device whose
+// voltages can move in a step. Like the recorder, the lists serve only
+// the run and are built by it, not at compile time.
+func (e *partEngine) indexBlockRows() {
+	nodes := e.sys.NodeCount()
+	for _, b := range e.blocks {
+		b.rows = make([]int, 0, len(b.blk.Rows))
+		b.scan.nodes = make([]int, 0, b.sys.NodeCount())
+		for r, owned := range b.blk.Owned {
+			if !owned {
+				continue
+			}
+			row := b.blk.Rows[r]
+			b.rows = append(b.rows, row)
+			if row < nodes {
+				b.scan.nodes = append(b.scan.nodes, row)
+			}
+		}
+		b.scan.tts = make([]int, 0, len(b.sys.TwoTerms()))
+		b.scan.fets = make([]int, 0, len(b.sys.FETs()))
+	}
+	var buf []*pBlock
+	for k, tt := range e.sys.TwoTerms() {
+		buf = e.owners(buf, tt.IA, tt.IB)
+		for _, b := range buf {
+			b.scan.tts = append(b.scan.tts, k)
+		}
+	}
+	for k, f := range e.sys.FETs() {
+		buf = e.owners(buf, f.ID, f.IG, f.IS)
+		for _, b := range buf {
+			b.scan.fets = append(b.scan.fets, k)
+		}
+	}
+}
+
+// owners returns the distinct blocks owning the given global node rows
+// (ground, -1, has none), reusing buf.
+func (e *partEngine) owners(buf []*pBlock, rows ...int) []*pBlock {
+	buf = buf[:0]
+next:
+	for _, r := range rows {
+		if r < 0 {
+			continue
+		}
+		b := e.blocks[e.par.NodeBlock[r]]
+		for _, o := range buf {
+			if o == b {
+				continue next
+			}
+		}
+		buf = append(buf, b)
+	}
+	return buf
 }
 
 // gather copies the rows of src selected by rows into dst.
@@ -572,8 +651,17 @@ func (e *partEngine) run() (*Result, error) {
 		e.rec.SetCompress(true)
 	}
 	e.rec.Sample(t, e.x)
-	active := make([]bool, len(e.blocks))
+	e.indexBlockRows()
+	e.active = make([]bool, len(e.blocks))
+	e.wasActive = make([]bool, len(e.blocks))
 	e.activeIdx = make([]int, 0, len(e.blocks))
+	e.scanIdx = make([]int, 0, len(e.blocks))
+	e.awakeRows = make([]int, 0, len(e.x))
+	// From here on xNew equals x on the rows of every block that sits an
+	// attempt out: only awake blocks write xNew, x takes exactly those
+	// rows at accept, and a block awake in a rejected attempt stays
+	// awake in the retry (its dormant flag was cleared).
+	copy(e.xNew, e.x)
 
 	for t < opt.TStop-e.brk.tol {
 		if err := ctxErr(opt.Ctx); err != nil {
@@ -584,22 +672,8 @@ func (e *partEngine) run() (*Result, error) {
 		}
 		h, truncated := stepAttempt(e.brk, t, hCruise, opt.HMin)
 		e.predictTears(h)
-		copy(e.xNew, e.x) // dormant rows carry the frozen state forward
 		e.phT, e.phH = t, h
-		e.activeIdx = e.activeIdx[:0]
-		for bi, b := range e.blocks {
-			act := e.wantSolve(b, t, h)
-			active[bi] = act
-			if !act {
-				e.stats.BlockSkips++
-				continue
-			}
-			if b.dormant {
-				b.dormant = false
-				b.quiet = 0
-			}
-			e.activeIdx = append(e.activeIdx, bi)
-		}
+		e.wake(t, h)
 		e.dispatch(e.fnSolve)
 		if err := e.firstBlockErr(); err != nil {
 			return nil, err
@@ -614,9 +688,9 @@ func (e *partEngine) run() (*Result, error) {
 				return nil, err
 			}
 		}
-		// Accept/reject on the shared eq (10) proxy over the global state.
+		// Accept/reject on the shared eq (10) proxy.
 		if !opt.FixedStep {
-			if le := localErrorOf(e.sys, e.x, e.xPrev, e.xNew, e.hPrev, h, e.vScale, opt.FC); le > 50*opt.Eps && h > opt.HMin*1.0001 {
+			if le := e.localError(h); le > 50*opt.Eps && h > opt.HMin*1.0001 {
 				e.stats.Rejected++
 				hCruise = math.Max(h/2, opt.HMin)
 				continue
@@ -624,19 +698,18 @@ func (e *partEngine) run() (*Result, error) {
 		}
 		bound := opt.HMax
 		if !opt.FixedStep {
-			bound = stepBoundOf(e.sys, e.x, e.xNew, h, opt.Eps, opt.HMax, e.vScale, opt.FC)
+			bound = e.stepBound(h)
 		}
 		// Accept.
 		e.dispatch(e.fnAccept)
-		copy(e.xPrev, e.x)
-		copy(e.x, e.xNew)
+		e.acceptRows()
 		e.hPrev = h
 		t += h
 		e.stats.Steps++
 		e.dispatch(e.fnRefresh)
-		e.refreshTears(active)
-		e.rec.Sample(t, e.x)
-		e.updateDormancy(active, h)
+		e.refreshTears()
+		e.rec.SampleRows(t, e.x, e.awakeRows)
+		e.updateDormancy(h)
 		if opt.FixedStep {
 			hCruise = opt.HInit
 		} else {
@@ -658,16 +731,97 @@ func (e *partEngine) run() (*Result, error) {
 	return &Result{Waves: e.rec.Set(), Stats: e.stats, X: e.x}, nil
 }
 
+// wake decides which blocks solve in this attempt (wantSolve) and clears
+// the dormancy of those that wake. Wake checks are the one per-step
+// pass that visits every block.
+func (e *partEngine) wake(t, h float64) {
+	for bi, b := range e.blocks {
+		act := e.wantSolve(b, t, h)
+		e.active[bi] = act
+		if !act {
+			e.stats.BlockSkips++
+			continue
+		}
+		if b.dormant {
+			b.dormant = false
+			b.quiet = 0
+		}
+	}
+	e.listAwake()
+}
+
+// listAwake lists the blocks awake in this attempt (activeIdx) and the
+// blocks eq (10) must scan (scanIdx): the awake ones plus those awake at
+// the last accepted step, whose rows still differ from xPrev.
+func (e *partEngine) listAwake() {
+	e.activeIdx = e.activeIdx[:0]
+	e.scanIdx = e.scanIdx[:0]
+	for bi, act := range e.active {
+		if act {
+			e.activeIdx = append(e.activeIdx, bi)
+		}
+		if act || e.wasActive[bi] {
+			e.scanIdx = append(e.scanIdx, bi)
+		}
+	}
+}
+
+// localError is the eq (10) proxy over the scanIdx blocks. Every other
+// node row is frozen in x, xPrev and xNew, where eq (10) reads exactly 0,
+// so the maximum equals the full scan's.
+func (e *partEngine) localError(h float64) float64 {
+	worst := 0.0
+	for _, bi := range e.scanIdx {
+		le := localErrorOf(e.blocks[bi].scan.nodes, e.x, e.xPrev, e.xNew, e.hPrev, h, e.vScale, e.opt.FC)
+		if le > worst {
+			worst = le
+		}
+	}
+	return worst
+}
+
+// stepBound is the eqs (11)-(12) bound over the awake blocks. A node or
+// device of the other blocks holds equal voltages in x and xNew, so it
+// has rate 0 and bounds nothing in the full scan either.
+func (e *partEngine) stepBound(h float64) float64 {
+	bound := e.opt.HMax
+	for _, bi := range e.activeIdx {
+		bound = stepBoundOf(e.sys, &e.blocks[bi].scan, e.x, e.xNew, h, e.opt.Eps, bound, e.vScale, e.opt.FC)
+	}
+	return bound
+}
+
+// acceptRows advances the accepted state over the rows that can have
+// moved — xPrev <- x over the scanIdx blocks, then x <- xNew over the
+// awake ones, whose rows it lists in awakeRows for the recorder — and
+// remembers this step's awake set. Every other row already holds one
+// value in all three vectors.
+func (e *partEngine) acceptRows() {
+	for _, bi := range e.scanIdx {
+		for _, r := range e.blocks[bi].rows {
+			e.xPrev[r] = e.x[r]
+		}
+	}
+	e.awakeRows = e.awakeRows[:0]
+	for _, bi := range e.activeIdx {
+		e.awakeRows = append(e.awakeRows, e.blocks[bi].rows...)
+	}
+	for _, r := range e.awakeRows {
+		e.x[r] = e.xNew[r]
+	}
+	copy(e.wasActive, e.active)
+}
+
 // refreshTears re-evaluates tear-device conductances at the accepted
 // state when either adjacent block was active (both-dormant tears are
 // frozen by construction).
-func (e *partEngine) refreshTears(active []bool) {
+func (e *partEngine) refreshTears() {
 	for i := range e.par.Tears {
 		tr := &e.par.Tears[i]
 		if tr.TT == nil {
 			continue
 		}
-		if !active[tr.BlockA] && !active[tr.BlockB] {
+		if !e.active[tr.BlockA] && !e.active[tr.BlockB] {
 			continue
 		}
 		v := e.x[tr.A] - e.x[tr.B]
@@ -678,20 +832,14 @@ func (e *partEngine) refreshTears(active []bool) {
 // updateDormancy advances each active block's quiet streak after an
 // accepted step of size h and puts it to sleep once the streak is long
 // enough.
-func (e *partEngine) updateDormancy(active []bool, h float64) {
+func (e *partEngine) updateDormancy(h float64) {
 	if !e.dormancy {
 		return
 	}
-	for bi, b := range e.blocks {
-		if !active[bi] {
-			continue
-		}
+	for _, bi := range e.activeIdx {
+		b := e.blocks[bi]
 		maxDx := 0.0
-		for r, owned := range b.blk.Owned {
-			if !owned {
-				continue
-			}
-			row := b.blk.Rows[r]
+		for _, row := range b.rows {
 			if d := math.Abs(e.x[row] - e.xPrev[row]); d > maxDx {
 				maxDx = d
 			}

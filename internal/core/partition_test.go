@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -270,6 +271,89 @@ func TestPartitionSingleBlockFallsBack(t *testing.T) {
 	for i := range mono.X {
 		if mono.X[i] != pr.X[i] {
 			t.Fatalf("fallback result differs at row %d", i)
+		}
+	}
+}
+
+// spanningDeck is a torn circuit whose devices cross block boundaries
+// both ways the awake-set scans must handle: a weak RTD torn between
+// two RTD stages, and a FET whose gate is owned by another block.
+func spanningDeck() *circuit.Circuit {
+	c := circuit.New("spanning")
+	c.AddVSource("VDD", "vdd", "0", device.DC(0.55))
+	c.AddVSource("VP", "p", "0", device.Pulse{
+		V1: 0.1, V2: 0.9, Delay: 1e-9, Rise: 0.5e-9, Fall: 0.5e-9, Width: 3e-9, Period: 8e-9,
+	})
+	weak := device.NewRTD()
+	weak.Area = 1e-3
+	c.AddResistor("RA", "p", "a", 300)
+	c.AddDevice("NA", "a", "0", device.NewRTD())
+	c.AddCapacitor("CA", "a", "0", 10e-15)
+	c.AddResistor("RB", "vdd", "b", 320)
+	c.AddDevice("NB", "b", "0", device.NewRTD())
+	c.AddCapacitor("CB", "b", "0", 10e-15)
+	c.AddDevice("NT", "a", "b", weak)
+	c.AddResistor("RD", "vdd", "d", 2e3)
+	c.AddFET("M1", "d", "a", "0", device.NewNMOS())
+	c.AddCapacitor("CD", "d", "0", 20e-15)
+	return c
+}
+
+// TestAwakeSetScansMatchFullScan: on random states in which every row
+// outside the scan sets is frozen — rows of blocks asleep now and at the
+// last accept equal in x, xPrev and xNew; rows of blocks asleep now
+// equal in x and xNew — the per-block eq (10) and eqs (11)-(12) scans
+// return exactly what the monolithic full scans return.
+func TestAwakeSetScansMatchFullScan(t *testing.T) {
+	c, err := NewCompiledTransient(spanningDeck(), Options{TStop: 10e-9, HInit: 0.1e-9, Partition: &part.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := c.pe
+	if e == nil {
+		t.Fatal("deck did not partition")
+	}
+	e.indexBlockRows()
+	tornRTD, remoteGate := false, false
+	for _, tr := range e.par.Tears {
+		tornRTD = tornRTD || tr.TT != nil
+	}
+	for _, b := range e.blocks {
+		remoteGate = remoteGate || len(b.blk.RemoteGates) > 0
+	}
+	if !tornRTD || !remoteGate {
+		t.Fatalf("deck lacks a torn RTD (%v) or a remote gate (%v)", tornRTD, remoteGate)
+	}
+	full := fullScanSet(e.sys)
+	e.active = make([]bool, len(e.blocks))
+	e.wasActive = make([]bool, len(e.blocks))
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		for bi := range e.blocks {
+			e.active[bi] = rng.Intn(3) == 0
+			e.wasActive[bi] = rng.Intn(3) == 0
+		}
+		e.listAwake()
+		for bi, b := range e.blocks {
+			for _, r := range b.rows {
+				e.x[r], e.xPrev[r], e.xNew[r] = rng.Float64(), rng.Float64(), rng.Float64()
+				if !e.active[bi] {
+					e.xNew[r] = e.x[r]
+					if !e.wasActive[bi] {
+						e.xPrev[r] = e.x[r]
+					}
+				}
+			}
+		}
+		e.hPrev = 1e-10 * (0.5 + rng.Float64())
+		h := 1e-10 * (0.5 + rng.Float64())
+		want := localErrorOf(full.nodes, e.x, e.xPrev, e.xNew, e.hPrev, h, e.vScale, nil)
+		if got := e.localError(h); got != want {
+			t.Fatalf("trial %d: awake-set eq (10) = %g, full scan %g", trial, got, want)
+		}
+		want = stepBoundOf(e.sys, &full, e.x, e.xNew, h, e.opt.Eps, e.opt.HMax, e.vScale, nil)
+		if got := e.stepBound(h); got != want {
+			t.Fatalf("trial %d: awake-set eqs (11)-(12) = %g, full scan %g", trial, got, want)
 		}
 	}
 }

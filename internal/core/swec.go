@@ -301,6 +301,7 @@ type engine struct {
 
 	brk    *breakSet // source breakpoints (sorted, within run window)
 	vScale float64   // circuit voltage scale for relative-error floors
+	scan   scanSet   // every node row and device (eqs (10)-(12))
 
 	stats Stats
 	rec   *trace.Recorder
@@ -327,6 +328,7 @@ func newEngine(sys *stamp.System, opt Options) (*engine, error) {
 	e.fetGeq = make([]float64, len(sys.FETs()))
 	e.collectBreaks()
 	e.initVScale()
+	e.scan = fullScanSet(sys)
 	e.rec = trace.NewRecorder(sys, opt.RecordCurrents)
 	if opt.FC != nil {
 		e.startFlops = opt.FC.Snapshot()
@@ -557,18 +559,46 @@ func (sa scaledAdder) Add(i, j int, v float64) { sa.a.Add(i, j, v*sa.s) }
 // denominator is floored at a small fraction of the circuit voltage
 // scale so microvolt creep never triggers rejections.
 func (e *engine) localError(xNew []float64, h float64) float64 {
-	return localErrorOf(e.sys, e.x, e.xPrev, xNew, e.hPrev, h, e.vScale, e.opt.FC)
+	return localErrorOf(e.scan.nodes, e.x, e.xPrev, xNew, e.hPrev, h, e.vScale, e.opt.FC)
 }
 
-// localErrorOf is the engine-independent eq (10) proxy shared by the
-// monolithic and partitioned drivers.
-func localErrorOf(sys *stamp.System, x, xPrev, xNew []float64, hPrev, h, vScale float64, fc *flop.Counter) float64 {
+// scanSet names what one eq (10)-(12) evaluation visits: node rows, and
+// devices as indices into the system's TwoTerms and FETs. The monolithic
+// engine scans everything; the partitioned engine keeps one set per
+// block and scans only the blocks whose rows can have moved
+// (partition.go).
+type scanSet struct {
+	nodes, tts, fets []int
+}
+
+// fullScanSet covers every node row and device of sys.
+func fullScanSet(sys *stamp.System) scanSet {
+	return scanSet{
+		nodes: indices(sys.NodeCount()),
+		tts:   indices(len(sys.TwoTerms())),
+		fets:  indices(len(sys.FETs())),
+	}
+}
+
+// indices returns 0, 1, ..., n-1.
+func indices(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// localErrorOf is the eq (10) proxy over the node rows in rows, shared
+// by the monolithic and partitioned drivers. A row frozen in x, xPrev
+// and xNew contributes exactly 0, so a caller may leave such rows out.
+func localErrorOf(rows []int, x, xPrev, xNew []float64, hPrev, h, vScale float64, fc *flop.Counter) float64 {
 	if hPrev <= 0 {
 		return 0
 	}
 	floor := 1e-3 * vScale
 	worst := 0.0
-	for i := 0; i < sys.NodeCount(); i++ {
+	for _, i := range rows {
 		dxdt := (x[i] - xPrev[i]) / hPrev
 		est := h * dxdt
 		actual := xNew[i] - x[i]
@@ -578,9 +608,9 @@ func localErrorOf(sys *stamp.System, x, xPrev, xNew []float64, hPrev, h, vScale 
 		}
 	}
 	if fc != nil {
-		fc.Add(3 * sys.NodeCount())
-		fc.Mul(sys.NodeCount())
-		fc.Div(2 * sys.NodeCount())
+		fc.Add(3 * len(rows))
+		fc.Mul(len(rows))
+		fc.Div(2 * len(rows))
 	}
 	return worst
 }
@@ -597,18 +627,22 @@ func localErrorOf(sys *stamp.System, x, xPrev, xNew []float64, hPrev, h, vScale 
 // when the node is static. Device bounds use the paper's 3·ε·V/α form
 // with α the realized controlling-voltage rate (eq 9).
 func (e *engine) stepBound(xNew []float64, h float64) float64 {
-	return stepBoundOf(e.sys, e.x, xNew, h, e.opt.Eps, e.opt.HMax, e.vScale, e.opt.FC)
+	return stepBoundOf(e.sys, &e.scan, e.x, xNew, h, e.opt.Eps, e.opt.HMax, e.vScale, e.opt.FC)
 }
 
-// stepBoundOf is the engine-independent eq (11)-(12) bound shared by the
-// monolithic and partitioned drivers; it reads branch voltages only (no
-// model evaluations), so it runs over the global system either way.
-func stepBoundOf(sys *stamp.System, x, xNew []float64, h, eps, hMax, vScale float64, fc *flop.Counter) float64 {
+// stepBoundOf is the eq (11)-(12) bound over the rows and devices of sc,
+// shared by the monolithic and partitioned drivers; it reads branch
+// voltages only (no model evaluations). A node or device whose voltages
+// are equal in x and xNew has rate 0 and bounds nothing, so a caller
+// may leave frozen ones out.
+func stepBoundOf(sys *stamp.System, sc *scanSet, x, xNew []float64, h, eps, hMax, vScale float64, fc *flop.Counter) float64 {
 	bound := hMax
 	// vRef keeps the relative-error denominators meaningful near 0 V.
 	vRef := 0.05 * vScale
 	// Device bounds: 3·ε·|V_dev| / α.
-	for _, tt := range sys.TwoTerms() {
+	tts, fets := sys.TwoTerms(), sys.FETs()
+	for _, k := range sc.tts {
+		tt := tts[k]
 		vNew := sys.Branch(xNew, tt.Elem.A, tt.Elem.B)
 		vOld := sys.Branch(x, tt.Elem.A, tt.Elem.B)
 		alpha := math.Abs(vNew-vOld) / h
@@ -619,7 +653,8 @@ func stepBoundOf(sys *stamp.System, x, xNew []float64, h, eps, hMax, vScale floa
 			bound = b
 		}
 	}
-	for _, f := range sys.FETs() {
+	for _, k := range sc.fets {
+		f := fets[k]
 		vgsNew := sys.Branch(xNew, f.Elem.G, f.Elem.S)
 		vgsOld := sys.Branch(x, f.Elem.G, f.Elem.S)
 		alpha := math.Abs(vgsNew-vgsOld) / h
@@ -632,7 +667,7 @@ func stepBoundOf(sys *stamp.System, x, xNew []float64, h, eps, hMax, vScale floa
 		}
 	}
 	// Node bounds: ε·|V_j| / |dV_j/dt| (eq 12 in rate form).
-	for i := 0; i < sys.NodeCount(); i++ {
+	for _, i := range sc.nodes {
 		rate := math.Abs(xNew[i]-x[i]) / h
 		if rate <= 0 {
 			continue
@@ -642,7 +677,7 @@ func stepBoundOf(sys *stamp.System, x, xNew []float64, h, eps, hMax, vScale floa
 		}
 	}
 	if fc != nil {
-		n := len(sys.TwoTerms()) + len(sys.FETs()) + sys.NodeCount()
+		n := len(sc.tts) + len(sc.fets) + len(sc.nodes)
 		fc.Add(2 * n)
 		fc.Mul(2 * n)
 		fc.Div(2 * n)

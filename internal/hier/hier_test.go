@@ -15,18 +15,18 @@ import (
 	"nanosim/internal/linsolve"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
-	"nanosim/internal/wave"
 )
 
 // requireBitIdentical asserts two transient results are bitwise equal:
-// final state, every waveform sample, and the work statistics.
+// final state, every raw waveform sample (names, order, lengths, each T
+// and V bit for bit), and the work statistics.
 func requireBitIdentical(t *testing.T, label string, a, b *core.Result) {
 	t.Helper()
 	if len(a.X) != len(b.X) {
 		t.Fatalf("%s: state dim differs (%d vs %d)", label, len(a.X), len(b.X))
 	}
 	for i := range a.X {
-		if a.X[i] != b.X[i] {
+		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
 			t.Fatalf("%s: state row %d differs: %g vs %g", label, i, a.X[i], b.X[i])
 		}
 	}
@@ -34,19 +34,19 @@ func requireBitIdentical(t *testing.T, label string, a, b *core.Result) {
 	if len(an) != len(bn) {
 		t.Fatalf("%s: signal count differs (%d vs %d)", label, len(an), len(bn))
 	}
-	for _, name := range an {
+	for k, name := range an {
+		if bn[k] != name {
+			t.Fatalf("%s: signal %d is %q vs %q", label, k, name, bn[k])
+		}
 		wa, wb := a.Waves.Get(name), b.Waves.Get(name)
-		if wb == nil {
-			t.Fatalf("%s: signal %q missing from second run", label, name)
+		if len(wa.T) != len(wb.T) || len(wa.V) != len(wb.V) {
+			t.Fatalf("%s: signal %q has %d vs %d samples", label, name, len(wa.T), len(wb.T))
 		}
-		va, vb, err := wave.CompareOn(wa, wb, 512)
-		if err != nil {
-			t.Fatalf("%s: compare %q: %v", label, name, err)
-		}
-		for i := range va {
-			if va[i] != vb[i] {
-				t.Fatalf("%s: signal %q sample %d differs: %g vs %g",
-					label, name, i, va[i], vb[i])
+		for i := range wa.T {
+			if math.Float64bits(wa.T[i]) != math.Float64bits(wb.T[i]) ||
+				math.Float64bits(wa.V[i]) != math.Float64bits(wb.V[i]) {
+				t.Fatalf("%s: signal %q sample %d differs: (%g, %g) vs (%g, %g)",
+					label, name, i, wa.T[i], wa.V[i], wb.T[i], wb.V[i])
 			}
 		}
 	}

@@ -382,12 +382,22 @@ func (s *Server) worker() {
 	}
 }
 
-// finish moves a job to a terminal state: counters, journal, waveform
-// spill and the done latch. res/waves are nil except for done.
+// finish moves a job to a terminal state: journal and waveform spill
+// first, then counters and state together, then the done latch.
+// res/waves are nil except for done.
 func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.Set, attempts int) {
+	// Journal first: once a status read, /metrics or a waiter can see the
+	// terminal state, the transition (result and waveform spill
+	// included) is already durable, so a kill -9 cannot re-queue work
+	// the service has acknowledged.
+	if s.store != nil {
+		s.journalTerminal(j, state, errMsg, res, waves, attempts)
+	}
+
 	s.mu.Lock()
-	// The job leaves its live bucket and enters its terminal one under
-	// one lock, so every /metrics snapshot balances exactly:
+	// The job leaves its live bucket, enters its terminal one and
+	// publishes its terminal state under one lock, so every /metrics
+	// snapshot balances exactly:
 	// submitted == queued + running + completed + failed + canceled.
 	switch j.snapshot().State {
 	case StateQueued:
@@ -411,8 +421,6 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 			delete(s.clients, j.client)
 		}
 	}
-	s.mu.Unlock()
-
 	j.mu.Lock()
 	j.info.Finished = time.Now().UTC()
 	j.info.State = state
@@ -420,10 +428,8 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 	j.info.Attempts = attempts
 	j.result, j.waves = res, waves
 	j.mu.Unlock()
+	s.mu.Unlock()
 
-	if s.store != nil {
-		s.journalTerminal(j, state, errMsg, res, waves, attempts)
-	}
 	close(j.done)
 	// Release the job's context now that it is terminal: a live child
 	// context stays registered with the server's base context, so

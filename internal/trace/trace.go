@@ -12,11 +12,10 @@ import (
 
 // Recorder samples MNA state vectors into named series.
 type Recorder struct {
-	sys      *stamp.System
-	set      *wave.Set
-	nodes    []*wave.Series // index = node row
-	branches []*wave.Series // index = vsource order
-	currents bool
+	set    *wave.Set
+	series []*wave.Series // index = signal: node rows, then source branches
+	rowOf  []int          // signal -> MNA row
+	sigOf  []int          // MNA row -> signal, -1 when not recorded
 
 	// Run-length compression (SetCompress): a sample equal to the row's
 	// previous value is held back instead of appended; when the value
@@ -25,10 +24,11 @@ type Recorder struct {
 	// partitioned engine enables this — dormant blocks keep their rows
 	// bit-frozen for thousands of steps, and recording each frozen step
 	// into >1k series dominates the run otherwise.
-	compress bool
-	lastT    []float64
-	lastV    []float64
-	held     []bool
+	compress    bool
+	tPrev, tNow float64 // the two latest sample times (compressed mode)
+	lastT       []float64
+	lastV       []float64
+	held        []bool
 }
 
 // NewRecorder builds a recorder for all node voltages of sys; when
@@ -38,24 +38,33 @@ func NewRecorder(sys *stamp.System, currents bool) *Recorder {
 	if currents {
 		nSignals += len(sys.VSources())
 	}
-	r := &Recorder{sys: sys, set: wave.NewSetSized(nSignals), currents: currents}
-	ckt := sys.Circuit()
-	r.nodes = make([]*wave.Series, sys.NodeCount())
-	for row := 0; row < sys.NodeCount(); row++ {
-		// Row convention: row = NodeID - 1 (stamp package contract).
+	r := &Recorder{
+		set:    wave.NewSetSized(nSignals),
+		series: make([]*wave.Series, 0, nSignals),
+		rowOf:  make([]int, 0, nSignals),
+		sigOf:  make([]int, sys.Dim()),
+	}
+	for i := range r.sigOf {
+		r.sigOf[i] = -1
+	}
+	add := func(name string, row int) {
 		// Series buffers grow on first append: pre-sizing every series
 		// at construction zeroes megabytes up front on large decks
 		// (compressed dormant rows may only ever hold two samples).
-		name := "v(" + ckt.NodeName(circuit.NodeID(row+1)) + ")"
 		s := wave.NewSeries(name, 0)
-		r.nodes[row] = s
+		r.sigOf[row] = len(r.series)
+		r.series = append(r.series, s)
+		r.rowOf = append(r.rowOf, row)
 		r.set.Add(s)
+	}
+	ckt := sys.Circuit()
+	for row := 0; row < sys.NodeCount(); row++ {
+		// Row convention: row = NodeID - 1 (stamp package contract).
+		add("v("+ckt.NodeName(circuit.NodeID(row+1))+")", row)
 	}
 	if currents {
 		for _, src := range sys.VSources() {
-			s := wave.NewSeries("i("+src.V.Name()+")", 0)
-			r.branches = append(r.branches, s)
-			r.set.Add(s)
+			add("i("+src.V.Name()+")", src.Branch)
 		}
 	}
 	return r
@@ -67,7 +76,7 @@ func NewRecorder(sys *stamp.System, currents bool) *Recorder {
 func (r *Recorder) SetCompress(on bool) {
 	r.compress = on
 	if on && r.lastT == nil {
-		n := len(r.nodes) + len(r.branches)
+		n := len(r.series)
 		r.lastT = make([]float64, n)
 		r.lastV = make([]float64, n)
 		r.held = make([]bool, n)
@@ -78,33 +87,51 @@ func (r *Recorder) SetCompress(on bool) {
 // programming error in the engine and panic via wave.MustAppend.
 func (r *Recorder) Sample(t float64, x []float64) {
 	if r.compress {
-		for row, s := range r.nodes {
-			r.sampleCompressed(row, s, t, x[row])
-		}
-		if r.currents {
-			for k, src := range r.sys.VSources() {
-				r.sampleCompressed(len(r.nodes)+k, r.branches[k], t, x[src.Branch])
-			}
+		r.advance(t)
+		for i, row := range r.rowOf {
+			r.sampleCompressed(i, t, x[row])
 		}
 		return
 	}
-	for row, s := range r.nodes {
-		s.MustAppend(t, x[row])
+	for i, s := range r.series {
+		s.MustAppend(t, x[r.rowOf[i]])
 	}
-	if r.currents {
-		for k, src := range r.sys.VSources() {
-			r.branches[k].MustAppend(t, x[src.Branch])
+}
+
+// SampleRows is Sample for a state in which only the listed MNA rows
+// can have changed since the previous sample; rows outside the list
+// must hold the value they had at their last sample. In compressed mode
+// it touches only the listed rows and yields exactly the series a full
+// Sample would: an unlisted row is a flat run, and flat runs are
+// recorded lazily — when the row next changes, or at Flush. Rows the
+// recorder does not record (inductor branches, source branches without
+// currents) are ignored. Without compression it records every row. The
+// first sample of a run must be a full Sample.
+func (r *Recorder) SampleRows(t float64, x []float64, rows []int) {
+	if !r.compress {
+		r.Sample(t, x)
+		return
+	}
+	r.advance(t)
+	for _, row := range rows {
+		if i := r.sigOf[row]; i >= 0 {
+			r.sampleCompressed(i, t, x[row])
 		}
 	}
 }
 
-// sampleCompressed is one row of run-length recording.
-func (r *Recorder) sampleCompressed(i int, s *wave.Series, t, v float64) {
+// advance moves the compressed recorder's clock to sample time t.
+func (r *Recorder) advance(t float64) { r.tPrev, r.tNow = r.tNow, t }
+
+// sampleCompressed is one signal of run-length recording at time t.
+func (r *Recorder) sampleCompressed(i int, t, v float64) {
+	s := r.series[i]
 	if s.Len() == 0 {
 		s.MustAppend(t, v)
 		r.lastT[i], r.lastV[i], r.held[i] = t, v, false
 		return
 	}
+	r.catchUp(i, r.tPrev)
 	if v == r.lastV[i] {
 		// Flat run: hold the sample; Flush or the next change emits it.
 		r.lastT[i], r.held[i] = t, true
@@ -119,23 +146,31 @@ func (r *Recorder) sampleCompressed(i int, s *wave.Series, t, v float64) {
 	r.lastT[i], r.lastV[i], r.held[i] = t, v, false
 }
 
-// Flush appends any held run-end samples (compressed mode); call once
-// after the final Sample.
+// catchUp extends signal i's flat run to sample time t when SampleRows
+// skipped it since its last sample: a full Sample at each skipped time
+// would have held the unchanged value there.
+func (r *Recorder) catchUp(i int, t float64) {
+	if r.lastT[i] < t {
+		r.lastT[i], r.held[i] = t, true
+	}
+}
+
+// Flush appends any held run-end samples (compressed mode), extending
+// every flat run to the last sample time first; call once after the
+// final Sample.
 func (r *Recorder) Flush() {
 	if !r.compress {
 		return
 	}
-	flush := func(i int, s *wave.Series) {
+	for i, s := range r.series {
+		if s.Len() == 0 {
+			continue
+		}
+		r.catchUp(i, r.tNow)
 		if r.held[i] {
 			s.MustAppend(r.lastT[i], r.lastV[i])
 			r.held[i] = false
 		}
-	}
-	for row, s := range r.nodes {
-		flush(row, s)
-	}
-	for k, s := range r.branches {
-		flush(len(r.nodes)+k, s)
 	}
 }
 

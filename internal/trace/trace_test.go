@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"testing"
 
 	"nanosim/internal/circuit"
@@ -107,5 +108,84 @@ func TestRecorderCompression(t *testing.T) {
 	}
 	if iv.T[1] != 6 {
 		t.Fatalf("flush kept t=%g as the final sample, want 6", iv.T[1])
+	}
+}
+
+// TestSampleRowsMatchesFullSampling is the exactness property of
+// row-subset recording: over random freeze schedules — rows frozen for
+// random stretches, some of them through the last sample, and awake
+// rows that sometimes keep their value — SampleRows over the awake rows
+// yields exactly the raw series a full Sample every step yields, node
+// voltages and branch currents alike. The inductor's branch row is not
+// recorded and must be ignored when listed.
+func TestSampleRowsMatchesFullSampling(t *testing.T) {
+	c := circuit.New("rows")
+	c.AddVSource("V1", "a", "0", device.DC(1))
+	c.AddVSource("V2", "d", "0", device.DC(1))
+	c.AddResistor("R1", "a", "b", 1e3)
+	c.AddInductor("L1", "b", "c", 1e-9)
+	c.AddResistor("R2", "c", "d", 1e3)
+	c.AddResistor("R3", "d", "e", 1e3)
+	c.AddCapacitor("C1", "e", "0", 1e-12)
+	s, err := stamp.NewSystem(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	frozenAtFlush := 0
+	for trial := 0; trial < 300; trial++ {
+		full, sub := NewRecorder(s, true), NewRecorder(s, true)
+		full.SetCompress(true)
+		sub.SetCompress(true)
+		x := make([]float64, s.Dim())
+		for r := range x {
+			x[r] = float64(rng.Intn(3))
+		}
+		tt := 0.0
+		full.Sample(tt, x)
+		sub.Sample(tt, x)
+		frozen := make([]bool, len(x))
+		var rows []int
+		for step := rng.Intn(30); step > 0; step-- {
+			tt += 0.5 + rng.Float64()
+			rows = rows[:0]
+			for r := range x {
+				if rng.Intn(4) == 0 {
+					frozen[r] = !frozen[r]
+				}
+				if frozen[r] {
+					continue
+				}
+				rows = append(rows, r)
+				if rng.Intn(2) == 0 {
+					x[r] = float64(rng.Intn(3))
+				}
+			}
+			full.Sample(tt, x)
+			sub.SampleRows(tt, x, rows)
+		}
+		for _, f := range frozen {
+			if f {
+				frozenAtFlush++
+			}
+		}
+		full.Flush()
+		sub.Flush()
+		for _, name := range full.Set().Names() {
+			a, b := full.Set().Get(name), sub.Set().Get(name)
+			if len(a.T) != len(b.T) {
+				t.Fatalf("trial %d %s: %d samples, want %d\nfull T=%v V=%v\nrows T=%v V=%v",
+					trial, name, len(b.T), len(a.T), a.T, a.V, b.T, b.V)
+			}
+			for i := range a.T {
+				if a.T[i] != b.T[i] || a.V[i] != b.V[i] {
+					t.Fatalf("trial %d %s sample %d: (%g, %g), want (%g, %g)",
+						trial, name, i, b.T[i], b.V[i], a.T[i], a.V[i])
+				}
+			}
+		}
+	}
+	if frozenAtFlush == 0 {
+		t.Fatal("no row was still frozen at Flush: the schedule misses that case")
 	}
 }
