@@ -6,6 +6,7 @@ import (
 	"nanosim/internal/core"
 	"nanosim/internal/dcop"
 	"nanosim/internal/flop"
+	"nanosim/internal/hier"
 	"nanosim/internal/linsolve"
 	"nanosim/internal/part"
 	"nanosim/internal/sde"
@@ -66,8 +67,21 @@ type TranStats = core.Stats
 // nonlinear solve and never stamps a negative conductance, so NDR
 // devices cannot produce the SPICE oscillation/false-convergence
 // failures of §3.1.
+//
+// A partitioned run (opt.Partition set) compiles through the
+// hierarchical compiler, which compiles each repeated block once and
+// shares it across the blocks that repeat it, subcircuit instances or
+// not. The result is bit-identical to the flat engine's: every
+// waveform sample, the final state and Stats, flops included.
 func Transient(ckt *Circuit, opt TranOptions) (*TranResult, error) {
-	return core.Transient(ckt, opt)
+	if opt.Partition == nil {
+		return core.Transient(ckt, opt)
+	}
+	ct, _, err := hier.CompileTransient(ckt, opt)
+	if err != nil {
+		return nil, err
+	}
+	return ct.Run()
 }
 
 // BaselineOptions configures the comparison engines.

@@ -432,13 +432,15 @@ func runParallelBench() (*ParallelBench, error) {
 	return pb, nil
 }
 
+// hierCompileFloor is the smallest hierarchical-over-flat compile
+// speedup runHierCompileBench accepts on the 4096-stage pipeline.
+const hierCompileFloor = 10
+
 // runHierCompileBench times hierarchical master-template compilation
 // against flatten-and-compile on the 4096-stage subcircuit pipeline
-// (exp.HierPipelineDeck — the same deck the internal/hier acceptance
-// test asserts >= 10x on) and cross-checks the transient waveforms
-// bitwise. The JSON floor here is 5x: looser than the in-test assert so
-// a noisy shared runner doesn't flap the bench, while still failing
-// loudly if master sharing stops paying for itself.
+// (exp.HierPipelineDeck) and cross-checks the transient waveforms
+// bitwise. Each path is timed best-of-3 from a collected heap, and a
+// speedup below hierCompileFloor fails the bench.
 func runHierCompileBench() (*HierCompileBench, error) {
 	const stages, rows, cols = 4096, 10, 10
 	deck, err := netparse.Parse(exp.HierPipelineDeck(stages, rows, cols))
@@ -451,24 +453,24 @@ func runHierCompileBench() (*HierCompileBench, error) {
 		Partition: &part.Options{}, Workers: 4,
 	}
 
-	// Hierarchical path first, from a collected heap: once the flat
-	// compile exists, its thousands of live solvers would bill their GC
-	// scan time to hier's clock.
-	runtime.GC()
-	start := time.Now()
-	hierCT, hrep, err := hier.CompileTransient(ckt, opt)
+	// Hierarchical path first: once the flat compile exists, its
+	// thousands of live solvers would bill their GC scan time to hier's
+	// clock.
+	var hrep *hier.Report
+	hierCT, hierMs, err := bestCompile(func() (*core.CompiledTransient, error) {
+		ct, rep, err := hier.CompileTransient(ckt, opt)
+		hrep = rep
+		return ct, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hier bench (hierarchical): %w", err)
 	}
-	hierMs := float64(time.Since(start).Nanoseconds()) / 1e6
-
-	runtime.GC()
-	start = time.Now()
-	flatCT, err := core.CompileTransient(ckt, opt)
+	flatCT, flatMs, err := bestCompile(func() (*core.CompiledTransient, error) {
+		return core.CompileTransient(ckt, opt)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hier bench (flatten): %w", err)
 	}
-	flatMs := float64(time.Since(start).Nanoseconds()) / 1e6
 
 	flatRes, err := flatCT.Run()
 	if err != nil {
@@ -497,10 +499,31 @@ func runHierCompileBench() (*HierCompileBench, error) {
 	}
 	fmt.Printf("hier bench: %d stages (%d nodes) -> %d blocks/%d groups; flatten %.0f ms, hier %.0f ms (%.1fx), sharing %.0fx, bit-identical\n",
 		hb.Stages, hb.Nodes, hb.Blocks, hb.Groups, hb.FlattenMs, hb.HierMs, hb.Speedup, hb.SharingFactor)
-	if hb.Speedup < 5 {
-		return nil, fmt.Errorf("hier bench: compile speedup %.2fx below the 5x recording floor", hb.Speedup)
+	if hb.Speedup < hierCompileFloor {
+		return nil, fmt.Errorf("hier bench: compile speedup %.2fx below the %dx floor", hb.Speedup, hierCompileFloor)
 	}
 	return hb, nil
+}
+
+// bestCompile runs compile three times and returns the last result
+// with the fastest attempt's milliseconds. Each attempt starts from a
+// collected heap with the previous attempt's result already dropped, so
+// no attempt pays GC scan time for another's live solvers.
+func bestCompile(compile func() (*core.CompiledTransient, error)) (*core.CompiledTransient, float64, error) {
+	var ct *core.CompiledTransient
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		ct = nil
+		runtime.GC()
+		start := time.Now()
+		c, err := compile()
+		if err != nil {
+			return nil, 0, err
+		}
+		best = math.Min(best, float64(time.Since(start).Nanoseconds())/1e6)
+		ct = c
+	}
+	return ct, best, nil
 }
 
 // identicalWaves demands bitwise-equal waveform sets: same signals, same

@@ -7,6 +7,8 @@ package circuit
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,6 +55,24 @@ func New(title string) *Circuit {
 		byName:    make(map[string]Element),
 	}
 	return c
+}
+
+// Reserve grows the circuit's storage so that adding elems elements
+// and nodes nodes does not reallocate it. Contents and order are
+// unchanged; the counts are only a capacity hint.
+func (c *Circuit) Reserve(elems, nodes int) {
+	c.elems = slices.Grow(c.elems, elems)
+	c.nodeNames = slices.Grow(c.nodeNames, nodes)
+	if elems > 0 {
+		m := make(map[string]Element, len(c.byName)+elems)
+		maps.Copy(m, c.byName)
+		c.byName = m
+	}
+	if nodes > 0 {
+		m := make(map[string]NodeID, len(c.nodeIndex)+nodes)
+		maps.Copy(m, c.nodeIndex)
+		c.nodeIndex = m
+	}
 }
 
 // Node returns the NodeID for name, creating the node on first use.

@@ -28,6 +28,32 @@ func TestNodeInterning(t *testing.T) {
 	}
 }
 
+// TestReserveKeepsContents checks that reserving storage on a circuit
+// that already holds nodes and elements changes no lookup, ID or order.
+func TestReserveKeepsContents(t *testing.T) {
+	c := New("t")
+	if _, err := c.AddResistor("R1", "in", "mid", 1e3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddCapacitor("C1", "mid", "gnd", 1e-12); err != nil {
+		t.Fatal(err)
+	}
+	before := c.String()
+	c.Reserve(100, 50)
+	if c.String() != before || c.NumNodes() != 3 || len(c.Elements()) != 2 {
+		t.Fatalf("reserve changed the circuit:\n%s\nwas\n%s", c.String(), before)
+	}
+	if c.Node("in") != 1 || c.Node("mid") != 2 || c.Node("GND") != Ground || c.Element("C1") == nil {
+		t.Fatal("reserve lost a node or element lookup")
+	}
+	if _, err := c.AddResistor("R1", "in", "mid", 1); err == nil {
+		t.Fatal("duplicate name accepted after reserve")
+	}
+	if _, err := c.AddResistor("R2", "mid", "out", 2e3); err != nil || c.Node("out") != 3 {
+		t.Fatalf("add after reserve: %v, out=%d", err, c.Node("out"))
+	}
+}
+
 func TestBuilderAndLookup(t *testing.T) {
 	c := New("rc")
 	r, err := c.AddResistor("R1", "in", "out", 1e3)

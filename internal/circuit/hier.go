@@ -52,10 +52,6 @@ type Instance struct {
 	// Bindings maps master port names to the global (flattened) node
 	// names bound on the X card, in the master's port order semantics.
 	Bindings map[string]string
-	// Params holds instance parameter overrides from the X card. The
-	// dialect currently defines none, so the map is empty; the table
-	// carries it so consumers need no format change when overrides land.
-	Params map[string]float64
 	// Elems lists the flattened names of the elements this instance owns
 	// directly (elements of nested instances belong to those instances).
 	Elems []string

@@ -13,8 +13,8 @@ package core
 // bit-for-bit (same pivot order, chosen from the same values) and every
 // waveform sample is identical. Only the SolveStats amortization
 // counters shift: the first solve counts as NumericRefactor instead of
-// FullFactor. Flop accounting and Stats are warm-neutral — compile work
-// is charged to neither.
+// FullFactor. Flop accounting and Stats are warm-neutral: compile work
+// is charged to neither Stats nor the caller's flop counter.
 //
 // The block-granular surface (WarmBlocks, SetBlockSolver, BlockSolver)
 // exists for the hierarchical compiler (internal/hier): it warms one
@@ -181,6 +181,7 @@ func (c *CompiledTransient) WarmBlocks(idx []int) error {
 		return c.warmMonolithic()
 	}
 	e := c.pe
+	defer muteFlops(&e.opt)()
 	if !c.seeded {
 		saved := e.stats
 		e.seedTearState()
@@ -212,13 +213,13 @@ func (c *CompiledTransient) WarmBlocks(idx []int) error {
 }
 
 // warmMonolithic is WarmBlocks for the unpartitioned engine: one
-// assembly, one warm, and a flop-counter re-baseline (the monolithic
-// engine snapshots its baseline at construction, before the warm).
+// assembly and one warm.
 func (c *CompiledTransient) warmMonolithic() error {
 	if c.seeded {
 		return nil
 	}
 	e := c.me
+	defer muteFlops(&e.opt)()
 	saved := e.stats
 	e.seedDeviceState()
 	e.stats = saved
@@ -229,11 +230,18 @@ func (c *CompiledTransient) warmMonolithic() error {
 			return fmt.Errorf("core: compile warm: %w", err)
 		}
 	}
-	if e.opt.FC != nil {
-		e.startFlops = e.opt.FC.Snapshot()
-	}
 	c.seeded = true
 	return nil
+}
+
+// muteFlops detaches the engine's flop counter until the returned
+// function restores it. Compile work is charged to no counter, so a
+// compiled run leaves on the caller's counter exactly what the
+// uncompiled run does.
+func muteFlops(o *Options) (restore func()) {
+	fc := o.FC
+	o.FC = nil
+	return func() { o.FC = fc }
 }
 
 // Run executes the compiled transient. Single-use: the run consumes the

@@ -140,6 +140,13 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
+// Validate reports the error Transient returns for these options
+// before it looks at the circuit, nil when they are valid.
+func (o Options) Validate() error {
+	_, err := o.withDefaults()
+	return err
+}
+
 // Stats reports the work a simulation performed.
 type Stats struct {
 	// Steps is the number of accepted time steps.

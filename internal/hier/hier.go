@@ -12,8 +12,8 @@
 // history and dormancy.
 //
 // Bit-identity with the flat path is structural, not approximate. A
-// block joins a group only when its layout signature matches a donor's
-// AND a direct element-by-element value comparison passes (sig.go), so
+// block joins a group only when its signature matches a donor's AND a
+// direct element-by-element value comparison passes (sig.go), so
 // an adopted block's first assembled matrix equals its donor's
 // bit-for-bit; the
 // cloned template then replays the donor's pivot order on those same
@@ -26,6 +26,8 @@
 package hier
 
 import (
+	"bytes"
+	"hash/maphash"
 	"strings"
 
 	"nanosim/internal/circuit"
@@ -84,6 +86,11 @@ func CompileTransient(ckt *circuit.Circuit, opt core.Options) (*core.CompiledTra
 	if opt.Partition == nil {
 		return compileFlat(ckt, opt)
 	}
+	// Invalid options fail first, with the flat engine's error, before
+	// any structure is built.
+	if err := opt.Validate(); err != nil {
+		return nil, nil, err
+	}
 	sys, err := stamp.NewSystem(ckt)
 	if err != nil {
 		return nil, nil, err
@@ -94,6 +101,9 @@ func CompileTransient(ckt *circuit.Circuit, opt core.Options) (*core.CompiledTra
 	}
 	nBlocks := len(sk.Part.Blocks)
 	if nBlocks < 2 {
+		// Degenerate partition: the monolithic engine, as in
+		// core.Transient, without partitioning a second time.
+		opt.Partition = nil
 		return compileFlat(ckt, opt)
 	}
 	x0, err := sys.InitialState(opt.IC)
@@ -105,23 +115,26 @@ func CompileTransient(ckt *circuit.Circuit, opt core.Options) (*core.CompiledTra
 	type group struct {
 		donor   int
 		members []int
+		sig     []byte // the donor's signature
 	}
-	// Two-stage congruence: bucket by the cheap layout signature (one
-	// reused buffer, looked up without allocating via the map[string]
-	// byte-slice idiom), then verify element values against each donor
-	// in the bucket directly. Distinct value sets with one layout simply
-	// become additional donors in the same bucket.
-	groups := map[string][]*group{}
+	// Two-stage congruence: bucket by a hash of the cheap signature (one
+	// reused buffer), compare the signature bytes in full, then verify
+	// element values against each donor in the bucket directly.
+	// Distinct model or waveform content under one signature simply
+	// becomes additional donors in the same bucket. Hashing once keeps
+	// long signatures out of map probes and rehashes.
+	seed := maphash.MakeSeed()
+	groups := map[uint64][]*group{}
 	var order []*group // deterministic donor order
-	w := &sigWriter{b: make([]byte, 0, 1<<13)}
-	local := make(map[int]int, 64)
+	w := &sigWriter{b: make([]byte, 0, 1<<13), local: make([]int, len(x0))}
 	for b := 0; b < nBlocks; b++ {
-		w.b = w.b[:0]
-		ok := blockSig(w, sk, b, x0, local)
+		ok := blockSig(w, sk, b, x0)
+		var key uint64
 		var g *group
 		if ok {
-			for _, cand := range groups[string(w.b)] {
-				if congruentValues(sk, b, cand.donor) {
+			key = maphash.Bytes(seed, w.b)
+			for _, cand := range groups[key] {
+				if bytes.Equal(cand.sig, w.b) && congruentValues(sk, b, cand.donor) {
 					g = cand
 					break
 				}
@@ -135,7 +148,7 @@ func CompileTransient(ckt *circuit.Circuit, opt core.Options) (*core.CompiledTra
 			ng := &group{donor: b}
 			order = append(order, ng)
 			if ok {
-				key := string(w.b)
+				ng.sig = bytes.Clone(w.b)
 				groups[key] = append(groups[key], ng)
 			}
 			continue
@@ -171,20 +184,27 @@ func CompileTransient(ckt *circuit.Circuit, opt core.Options) (*core.CompiledTra
 		rep.TotalDim += blk.Sys.Dim()
 	}
 
-	// Warm the donors (one pattern compile + symbolic analysis per
-	// group), then stamp template clones into the members. Members are
-	// not warmed: a clone carries the donor's pattern, slot map and
-	// factorization skeleton, and its first run-time solve performs the
-	// numeric refactorization on its own first assembly — the same
-	// arithmetic, at the same values, as the flat path's first full
-	// factorization.
-	donors := make([]int, 0, len(order))
+	// Warm the donors that have members (one pattern compile + symbolic
+	// analysis per shared group), then stamp template clones into the
+	// members. Members are not warmed: a clone carries the donor's
+	// pattern, slot map and factorization skeleton, and its first
+	// run-time solve performs the numeric refactorization on its own
+	// first assembly — the same arithmetic, at the same values, as the
+	// flat path's first full factorization. A block nothing shares with
+	// stays unwarmed and compiles on its first solve, as in
+	// core.Transient, so a deck where nothing repeats pays no eager
+	// warm.
+	var donors []int
 	for _, g := range order {
-		donors = append(donors, g.donor)
 		rep.MaterializedDim += p.Blocks[g.donor].Sys.Dim()
+		if len(g.members) > 0 {
+			donors = append(donors, g.donor)
+		}
 	}
-	if err := ct.WarmBlocks(donors); err != nil {
-		return nil, nil, err
+	if len(donors) > 0 {
+		if err := ct.WarmBlocks(donors); err != nil {
+			return nil, nil, err
+		}
 	}
 	for _, g := range order {
 		if len(g.members) == 0 {

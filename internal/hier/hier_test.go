@@ -5,9 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"nanosim/internal/core"
 	"nanosim/internal/exp"
@@ -15,6 +13,7 @@ import (
 	"nanosim/internal/linsolve"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
+	"nanosim/internal/stamp"
 )
 
 // requireBitIdentical asserts two transient results are bitwise equal:
@@ -188,8 +187,16 @@ func TestHierSharesAcrossInstances(t *testing.T) {
 	}
 	requireBitIdentical(t, "pipeline48", flat, got)
 
-	// No cloned solver may have rebuilt its pattern or full-factored at
-	// run time: the donor's template must have carried every member.
+	// No solver of a shared group (the donor and its members share one
+	// MNA view) may have rebuilt its pattern or full-factored at run
+	// time: the donor's template must have carried every member. A
+	// block nothing shares with compiles on its first solve, as in the
+	// flat engine, so it full-factors once.
+	shared := map[*stamp.System]int{}
+	for _, blk := range ct.Par.Blocks {
+		shared[blk.Sys]++
+	}
+	sharedBlocks := 0
 	for bi := 0; bi < ct.NumBlocks(); bi++ {
 		sol := ct.BlockSolver(bi)
 		if !linsolve.CarriesPivotOrder(sol) {
@@ -203,77 +210,45 @@ func TestHierSharesAcrossInstances(t *testing.T) {
 		if st.PatternRebuild != 0 {
 			t.Fatalf("block %d: pattern rebuilt %d times", bi, st.PatternRebuild)
 		}
+		if shared[ct.Par.Blocks[bi].Sys] < 2 {
+			continue
+		}
+		sharedBlocks++
 		if st.FullFactor != 0 {
 			t.Fatalf("block %d: %d run-time full factorizations", bi, st.FullFactor)
 		}
 	}
+	if sharedBlocks < rep.Adopted {
+		t.Fatalf("%d blocks ran on a shared template, want >= %d adopted", sharedBlocks, rep.Adopted)
+	}
 }
 
-// TestHierPipelineCompileSpeedup is the acceptance benchmark from the
-// issue: on a 4096-stage pipeline, hierarchical compilation must beat
-// flatten-and-compile by >= 10x while producing bit-identical
-// waveforms. Compile timing uses the best of two attempts per path to
-// damp scheduler noise.
-func TestHierPipelineCompileSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("4096-stage acceptance test skipped in -short")
-	}
-	const stages = 4096
+// TestHierPipelineAdoptsAndMatchesFlat compiles a pipeline of sparse
+// 10x10-mesh stages for the worker pool: every interior stage must
+// adopt the one compiled stage, and the run must reproduce the flat
+// compile bit for bit. The compile-time ratio on the 4096-stage version
+// of this deck is the hier_compile gate of `nanobench -solverbench`.
+func TestHierPipelineAdoptsAndMatchesFlat(t *testing.T) {
+	const stages = 256
 	deck, err := netparse.Parse(pipelineDeck(stages, 10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckt := deck.Circuit
 	opt := core.Options{
 		TStop: 2e-9, HInit: 0.1e-9,
 		Partition: &part.Options{}, Workers: 4,
 	}
-
-	// Time the hierarchical compiles before any flat compile exists: the
-	// flat result keeps 4096 fully materialized solvers live, and letting
-	// the collector scan those gigabytes during hier's timed section
-	// charges flat's memory footprint to hier's clock. Each timed compile
-	// starts from a collected heap for the same reason.
-	var flatCT, hierCT *core.CompiledTransient
-	var rep *Report
-	flatDur, hierDur := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for i := 0; i < 2; i++ {
-		hierCT = nil
-		runtime.GC()
-		t0 := time.Now()
-		h, r, err := CompileTransient(ckt, opt)
-		if err != nil {
-			t.Fatalf("hier compile: %v", err)
-		}
-		if d := time.Since(t0); d < hierDur {
-			hierDur = d
-		}
-		hierCT, rep = h, r
+	hierCT, rep, err := CompileTransient(deck.Circuit, opt)
+	if err != nil {
+		t.Fatalf("hier compile: %v", err)
 	}
-	for i := 0; i < 2; i++ {
-		flatCT = nil
-		runtime.GC()
-		t0 := time.Now()
-		c, err := core.CompileTransient(ckt, opt)
-		if err != nil {
-			t.Fatalf("flat compile: %v", err)
-		}
-		if d := time.Since(t0); d < flatDur {
-			flatDur = d
-		}
-		flatCT = c
+	if rep.Adopted < stages-3 || rep.Cloned != rep.Adopted || rep.Fallbacks != 0 {
+		t.Fatalf("adopted %d, cloned %d of %d stages; report %+v", rep.Adopted, rep.Cloned, stages, rep)
 	}
-
-	if rep.Adopted < stages-3 {
-		t.Fatalf("adopted %d of %d stages; report %+v", rep.Adopted, stages, rep)
+	flatCT, err := core.CompileTransient(deck.Circuit, opt)
+	if err != nil {
+		t.Fatalf("flat compile: %v", err)
 	}
-	speedup := float64(flatDur) / float64(hierDur)
-	t.Logf("flat %v, hier %v: %.1fx (groups=%d adopted=%d cloned=%d sharing=%.0fx)",
-		flatDur, hierDur, speedup, rep.Groups, rep.Adopted, rep.Cloned, rep.SharingFactor())
-	if speedup < 10 {
-		t.Fatalf("hier compile speedup %.1fx, want >= 10x (flat %v, hier %v)", speedup, flatDur, hierDur)
-	}
-
 	flatRes, err := flatCT.Run()
 	if err != nil {
 		t.Fatalf("flat run: %v", err)
@@ -282,5 +257,5 @@ func TestHierPipelineCompileSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hier run: %v", err)
 	}
-	requireBitIdentical(t, "pipeline4096", flatRes, hierRes)
+	requireBitIdentical(t, "pipeline256", flatRes, hierRes)
 }

@@ -3,11 +3,15 @@ package hier
 // Block congruence is decided in two stages, split so the per-block
 // cost on a million-node deck stays a few microseconds:
 //
-//  1. blockSig builds a cheap LAYOUT signature — element kinds, the
-//     positional local-node numbering Adopt will reproduce, initial
-//     state bits at every block row, and the tear topology. Blocks are
-//     bucketed by the raw signature bytes (map key, no hashing, no
-//     collisions).
+//  1. blockSig builds a cheap signature — element kinds, the positional
+//     local-node numbering Adopt will reproduce, the exact bits of every
+//     resistance, capacitance and inductance (tear resistors included),
+//     initial state bits at every block row, and the tear topology.
+//     Blocks are bucketed by a hash of the signature and matched on
+//     the full signature bytes, so a collision never groups anything.
+//     Blocks whose values differ land in different buckets, so a deck
+//     where nothing repeats costs one signature per block, not a value
+//     comparison per pair of blocks.
 //  2. congruentValues compares a candidate member against a donor
 //     element by element: every resistance, capacitance, inductance,
 //     model parameter set and source waveform must match bit-for-bit.
@@ -19,9 +23,10 @@ package hier
 // by trusting an encoding. The donor's pivot order is only
 // bit-transferable when the member's first assembled matrix equals the
 // donor's — which is exactly layout + values + initial state, the
-// union of the two checks. netparse builds a fresh model instance per
-// element line, so pointer identity never groups anything; content is
-// what repeats across subcircuit instances.
+// union of the two checks. Device models and waveforms stay out of the
+// signature and are compared by content: repeated instances share a
+// netparse-interned model, but a cloned circuit carries equal models
+// under distinct pointers.
 
 import (
 	"math"
@@ -31,9 +36,23 @@ import (
 	"nanosim/internal/part"
 )
 
-// sigWriter accumulates layout-signature bytes in a reusable buffer.
+// sigWriter accumulates signature bytes in a reusable buffer and
+// numbers a block's rows in first-appearance order: local[g] is global
+// row g's local index plus one (0 = not seen), and rows lists the rows
+// seen, so starting the next block clears only what this one touched.
 type sigWriter struct {
-	b []byte
+	b     []byte
+	local []int
+	rows  []int
+}
+
+// reset starts a new block's signature.
+func (w *sigWriter) reset() {
+	w.b = w.b[:0]
+	for _, g := range w.rows {
+		w.local[g] = 0
+	}
+	w.rows = w.rows[:0]
 }
 
 func (w *sigWriter) tag(t byte) { w.b = append(w.b, t) }
@@ -50,13 +69,12 @@ func (w *sigWriter) i(v int) { w.u64(uint64(int64(v))) }
 // any NaN payloads — strictly conservative).
 func (w *sigWriter) f64bits(v float64) { w.u64(floatBits(v)) }
 
-// blockSig appends block b's layout signature to w (callers reset w.b
-// between blocks and reuse the buffer). ok is false when the block
-// contains an element kind the signature cannot describe; such a block
-// never groups.
-func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64, local map[int]int) bool {
+// blockSig writes block b's signature into w, replacing the previous
+// block's. ok is false when the block contains an element kind the
+// signature cannot describe; such a block never groups.
+func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64) bool {
 	elems := sk.Ckt.Elements()
-	clear(local)
+	w.reset()
 	branches := 0
 	node := func(n circuit.NodeID) {
 		if n == circuit.Ground {
@@ -64,12 +82,13 @@ func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64, local map[in
 			return
 		}
 		g := int(n) - 1
-		li, seen := local[g]
-		if !seen {
+		li := w.local[g] - 1
+		if li < 0 {
 			// First appearance: the row Adopt will assign, plus the
 			// initial state bits the warm factorization starts from.
-			li = len(local)
-			local[g] = li
+			w.rows = append(w.rows, g)
+			li = len(w.rows) - 1
+			w.local[g] = li + 1
 			w.f64bits(x0[g])
 		}
 		w.i(li)
@@ -81,14 +100,17 @@ func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64, local map[in
 			w.tag('R')
 			node(el.A)
 			node(el.B)
+			w.f64bits(el.R)
 		case *circuit.Capacitor:
 			w.tag('C')
 			node(el.A)
 			node(el.B)
+			w.f64bits(el.C)
 		case *circuit.Inductor:
 			w.tag('L')
 			node(el.A)
 			node(el.B)
+			w.f64bits(el.L)
 			branches++
 		case *circuit.VSource:
 			w.tag('V')
@@ -126,8 +148,8 @@ func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64, local map[in
 		} else {
 			w.tag('a')
 		}
-		li, seen := local[gRow]
-		if !seen {
+		li := w.local[gRow] - 1
+		if li < 0 {
 			// An owned row no internal element touches — Finish would
 			// reject the partition; refuse to group rather than guess.
 			return false
@@ -136,6 +158,7 @@ func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64, local map[in
 		switch {
 		case t.R != nil:
 			w.tag('r')
+			w.f64bits(t.R.R)
 		case t.TT != nil:
 			w.tag('d')
 		default:
@@ -153,7 +176,7 @@ func blockSig(w *sigWriter, sk *part.Skeleton, b int, x0 []float64, local map[in
 		w.tag(stiffTag)
 	}
 
-	w.i(len(local))
+	w.i(len(w.rows))
 	w.i(branches)
 	return true
 }

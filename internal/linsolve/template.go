@@ -91,9 +91,10 @@ func (t *SparseTemplate) Warmed() bool { return t.lu != nil }
 // deck-compile path (core.CompileTransient, internal/hier) stamps each
 // block's first assembly and calls Warm so first-solve costs — pattern
 // compilation, symbolic analysis, factorization — are paid at compile
-// time. Warm does not count into SolveStats: compile work must not skew
-// the run's amortization accounting, and solvers warmed directly must
-// report identical stats to solvers cloned from a template.
+// time. Warm counts into neither SolveStats nor the flop counter:
+// compile work must not skew the run's amortization or flop accounting,
+// and solvers warmed directly must report identical stats to solvers
+// cloned from a template.
 type Warmer interface {
 	Warm() error
 }
@@ -101,9 +102,10 @@ type Warmer interface {
 // Warm implements Warmer: it compiles and factors the currently
 // assembled matrix exactly as the next Solve would, without solving.
 func (s *sparseOf[T]) Warm() error {
-	saved := s.stats
+	saved, fc := s.stats, s.fc
+	s.fc = nil
 	err := s.ensureFactored()
-	s.stats = saved
+	s.stats, s.fc = saved, fc
 	return err
 }
 

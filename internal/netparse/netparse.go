@@ -385,7 +385,23 @@ done:
 			}
 		}
 	}
-	ex := &expander{c: deck.Circuit, models: models, subckts: subckts, hier: deck.Circuit.Hier, topNodes: topNodes}
+	ex := &expander{c: deck.Circuit, models: models, subckts: subckts, hier: deck.Circuit.Hier, topNodes: topNodes,
+		sizes: make(map[string]masterSize, len(subckts))}
+	// Reserve the flat circuit's storage for the expanded size up front,
+	// so a deck of many instances never regrows its element and node
+	// tables.
+	elems, nodes := 0, len(topNodes)
+	for _, el := range elements {
+		if !isInstanceCard(el.fields[0]) {
+			elems++
+			continue
+		}
+		if len(el.fields) >= 3 {
+			s := ex.sizeOf(strings.ToLower(el.fields[len(el.fields)-1]))
+			elems, nodes = min(elems+s.elems, maxReserve), min(nodes+s.nodes, maxReserve)
+		}
+	}
+	deck.Circuit.Reserve(elems, nodes)
 	for _, el := range elements {
 		if isInstanceCard(el.fields[0]) {
 			if err := ex.expand(el.fields, el.line, -1, 0, nil); err != nil {

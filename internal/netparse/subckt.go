@@ -119,6 +119,64 @@ type expander struct {
 	// with the hierarchical path, not a silent short between an
 	// instance's guts and an unrelated top-level net.
 	topNodes map[string]int
+	// sizes memoizes sizeOf per master.
+	sizes map[string]masterSize
+	// buf is the field slice every non-X body line is mapped into:
+	// addElement keeps the strings it reads, never the slice, so one
+	// buffer serves the whole expansion.
+	buf []string
+}
+
+// masterSize is what one instance of a master adds to the flat
+// circuit, nested instances included.
+type masterSize struct {
+	elems, nodes int
+}
+
+// maxReserve caps the storage Parse reserves ahead of expansion. The
+// count is only a capacity hint: a deck that expands past it grows its
+// storage on demand, and a malformed deck whose nominal expansion is
+// huge cannot make Parse allocate it before expansion rejects the deck.
+const maxReserve = 1 << 20
+
+// sizeOf counts what one instance of master name adds, in one memoized
+// pass over the masters' bodies. An unknown master counts as empty, and
+// so does a master's reference back into its own expansion chain (the
+// fuzz seed "ouro" instantiates itself): expansion rejects both with a
+// proper error. Counts saturate at maxReserve.
+func (ex *expander) sizeOf(name string) masterSize {
+	if s, ok := ex.sizes[name]; ok {
+		return s
+	}
+	def := ex.subckts[name]
+	if def == nil {
+		return masterSize{}
+	}
+	ex.sizes[name] = masterSize{} // in progress: a cycle counts as empty
+	local := make(map[string]bool, len(def.ports)+3)
+	for _, n := range append([]string{"0", "gnd", "GND"}, def.ports...) {
+		local[n] = true
+	}
+	var s masterSize
+	for _, bl := range def.body {
+		lo, hi := nodeFieldRange(bl.fields)
+		for i := lo; i < hi && i < len(bl.fields); i++ {
+			if !local[bl.fields[i]] {
+				local[bl.fields[i]] = true
+				s.nodes++
+			}
+		}
+		if !isInstanceCard(bl.fields[0]) {
+			s.elems = min(s.elems+1, maxReserve)
+		} else if len(bl.fields) >= 3 {
+			n := ex.sizeOf(strings.ToLower(bl.fields[len(bl.fields)-1]))
+			s.elems = min(s.elems+n.elems, maxReserve)
+			s.nodes = min(s.nodes+n.nodes, maxReserve)
+		}
+	}
+	s.nodes = min(s.nodes, maxReserve)
+	ex.sizes[name] = s
+	return s
 }
 
 // expand instantiates "Xname n1 n2 ... subname". fields[0] carries the
@@ -157,9 +215,11 @@ func (ex *expander) expand(fields []string, line int, parent, depth int, active 
 		Master:   subName,
 		Parent:   parent,
 		Bindings: make(map[string]string, len(def.ports)),
-		Params:   map[string]float64{},
 		Line:     line,
 	}
+	// nodeMap resolves a master-local node name to its flattened one:
+	// ground and ports up front, each internal node from the first
+	// reference on, when its name is built and checked once.
 	nodeMap := map[string]string{"0": "0", "gnd": "0", "GND": "0"}
 	for i, p := range def.ports {
 		nodeMap[p] = nodes[i]
@@ -168,34 +228,32 @@ func (ex *expander) expand(fields []string, line int, parent, depth int, active 
 	idx := len(ex.hier.Instances)
 	ex.hier.AddInstance(in)
 
-	seen := map[string]bool{}
-	mapNode := func(n string, num int) (string, error) {
-		if m, ok := nodeMap[n]; ok {
-			return m, nil
-		}
-		g := inst + "." + n
-		if !seen[g] {
-			if topLine, clash := ex.topNodes[g]; clash {
-				return "", errf(num, "internal node %s of subcircuit instance %s (master %q) collides with top-level node %q first referenced on line %d; rename the node or the instance",
-					g, inst, subName, g, topLine)
-			}
-			seen[g] = true
-			in.InternalNodes = append(in.InternalNodes, g)
-		}
-		return g, nil
-	}
 	for _, bl := range def.body {
-		mapped := append([]string(nil), bl.fields...)
+		nested := isInstanceCard(bl.fields[0])
+		var mapped []string
+		if nested {
+			// The nested expansion reads its card: it gets its own copy.
+			mapped = append([]string(nil), bl.fields...)
+		} else {
+			ex.buf = append(ex.buf[:0], bl.fields...)
+			mapped = ex.buf
+		}
 		mapped[0] = inst + "." + mapped[0]
 		lo, hi := nodeFieldRange(bl.fields)
 		for i := lo; i < hi && i < len(mapped); i++ {
-			m, err := mapNode(mapped[i], bl.num)
-			if err != nil {
-				return err
+			g, ok := nodeMap[mapped[i]]
+			if !ok {
+				g = inst + "." + mapped[i]
+				if topLine, clash := ex.topNodes[g]; clash {
+					return errf(bl.num, "internal node %s of subcircuit instance %s (master %q) collides with top-level node %q first referenced on line %d; rename the node or the instance",
+						g, inst, subName, g, topLine)
+				}
+				nodeMap[mapped[i]] = g
+				in.InternalNodes = append(in.InternalNodes, g)
 			}
-			mapped[i] = m
+			mapped[i] = g
 		}
-		if isInstanceCard(bl.fields[0]) {
+		if nested {
 			if err := ex.expand(mapped, bl.num, idx, depth+1, append(active, subName)); err != nil {
 				return err
 			}
