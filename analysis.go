@@ -2,11 +2,11 @@ package nanosim
 
 import (
 	"nanosim/internal/acan"
+	"nanosim/internal/analysis"
 	"nanosim/internal/circuit"
 	"nanosim/internal/core"
 	"nanosim/internal/dcop"
 	"nanosim/internal/flop"
-	"nanosim/internal/hier"
 	"nanosim/internal/linsolve"
 	"nanosim/internal/part"
 	"nanosim/internal/sde"
@@ -68,20 +68,15 @@ type TranStats = core.Stats
 // devices cannot produce the SPICE oscillation/false-convergence
 // failures of §3.1.
 //
-// A partitioned run (opt.Partition set) compiles through the
-// hierarchical compiler, which compiles each repeated block once and
-// shares it across the blocks that repeat it, subcircuit instances or
-// not. The result is bit-identical to the flat engine's: every
-// waveform sample, the final state and Stats, flops included.
+// A partitioned run (opt.Partition set, opt.Solver nil) compiles
+// through the hierarchical compiler, which compiles each repeated block
+// once and shares it across the blocks that repeat it, subcircuit
+// instances or not. The result is bit-identical to the flat engine's:
+// every waveform sample, the final state and Stats, flops included. A
+// caller-supplied Solver keeps the flat engine, so that every block
+// solver comes from it.
 func Transient(ckt *Circuit, opt TranOptions) (*TranResult, error) {
-	if opt.Partition == nil {
-		return core.Transient(ckt, opt)
-	}
-	ct, _, err := hier.CompileTransient(ckt, opt)
-	if err != nil {
-		return nil, err
-	}
-	return ct.Run()
+	return analysis.Transient(ckt, opt)
 }
 
 // BaselineOptions configures the comparison engines.

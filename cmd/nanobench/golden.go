@@ -9,9 +9,9 @@ import (
 	"sort"
 	"strings"
 
-	"nanosim"
+	"nanosim/internal/analysis"
 	"nanosim/internal/netparse"
-	"nanosim/internal/trace"
+	"nanosim/internal/pipeline"
 )
 
 // goldenSchema versions the reference-waveform files.
@@ -107,69 +107,17 @@ func goldenRun(path string) (*GoldenFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var popt *nanosim.PartitionOptions
-	if o := deck.Options; o != nil && o.Partition {
-		popt = &nanosim.PartitionOptions{GCouple: o.GCouple, NoDormancy: o.NoDormancy}
+	plan, err := pipeline.New(deck, pipeline.Overrides{})
+	if err != nil {
+		return nil, err
 	}
 	g := &GoldenFile{Schema: goldenSchema, Deck: filepath.Base(path)}
 	for _, a := range deck.Analyses {
-		var waves *nanosim.WaveSet
-		switch a.Kind {
-		case "op":
-			res, err := nanosim.OperatingPoint(deck.Circuit, nanosim.DCOptions{})
-			if err != nil {
-				return nil, fmt.Errorf(".op: %w", err)
-			}
-			waves = trace.OPWaves(deck.Circuit, res.X)
-		case "dc":
-			res, err := nanosim.Sweep(deck.Circuit, a.Src, a.From, a.To, a.Points, a.Device,
-				nanosim.DCOptions{RefineIters: 3})
-			if err != nil {
-				return nil, fmt.Errorf(".dc: %w", err)
-			}
-			waves = res.Waves
-		case "ac":
-			res, err := nanosim.AC(deck.Circuit, nanosim.ACOptions{
-				Grid: a.ACGrid, Points: a.Points, FStart: a.From, FStop: a.To})
-			if err != nil {
-				return nil, fmt.Errorf(".ac: %w", err)
-			}
-			waves = res.Waves
-		case "tran":
-			res, err := nanosim.Transient(deck.Circuit, nanosim.TranOptions{
-				TStop: a.TStop, HInit: a.TStep, RecordCurrents: true, Partition: popt})
-			if err != nil {
-				return nil, fmt.Errorf(".tran: %w", err)
-			}
-			waves = res.Waves
-		case "em":
-			res, err := nanosim.Stochastic(deck.Circuit, nanosim.NoiseOptions{
-				TStop: a.TStop, Steps: a.Steps, Seed: a.Seed})
-			if err != nil {
-				return nil, fmt.Errorf(".em: %w", err)
-			}
-			waves = res.Waves
-		case "settran":
-			// Seeded kMC is bit-identical run to run, so it goldens like
-			// any deterministic transient.
-			res, err := nanosim.SETTransient(deck.Circuit, nanosim.SETOptions{
-				TStep: a.TStep, TStop: a.TStop, Temp: a.Temp, Seed: a.Seed})
-			if err != nil {
-				return nil, fmt.Errorf(".set tran: %w", err)
-			}
-			waves = res.Waves
-		case "setmap":
-			res, err := nanosim.SETMap(deck.Circuit, nanosim.SETMapOptions{
-				Gate: a.Src, GFrom: a.From, GTo: a.To, GPoints: a.Points,
-				Drain: a.Src2, DFrom: a.From2, DTo: a.To2, DPoints: a.Points2,
-				Temp: a.Temp, Method: a.Method, Window: a.Window, Seed: a.Seed})
-			if err != nil {
-				return nil, fmt.Errorf(".set map: %w", err)
-			}
-			waves = res.Waves
-		default:
-			continue
+		out, err := analysis.Run(deck.Circuit, plan.Card(a))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pipeline.Label(a.Kind), err)
 		}
+		waves := out.Waves
 		ga := GoldenAnalysis{Kind: a.Kind, Signals: map[string]GoldenSignal{}}
 		for _, name := range waves.Names() {
 			s := waves.Get(name)

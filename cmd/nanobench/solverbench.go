@@ -13,6 +13,7 @@ import (
 	"nanosim/internal/device"
 	"nanosim/internal/exp"
 	"nanosim/internal/hier"
+	"nanosim/internal/hier/hiertest"
 	"nanosim/internal/linsolve"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
@@ -438,12 +439,12 @@ const hierCompileFloor = 10
 
 // runHierCompileBench times hierarchical master-template compilation
 // against flatten-and-compile on the 4096-stage subcircuit pipeline
-// (exp.HierPipelineDeck) and cross-checks the transient waveforms
+// (hiertest.PipelineDeck) and cross-checks the transient waveforms
 // bitwise. Each path is timed best-of-3 from a collected heap, and a
 // speedup below hierCompileFloor fails the bench.
 func runHierCompileBench() (*HierCompileBench, error) {
 	const stages, rows, cols = 4096, 10, 10
-	deck, err := netparse.Parse(exp.HierPipelineDeck(stages, rows, cols))
+	deck, err := netparse.Parse(hiertest.PipelineDeck(stages, rows, cols))
 	if err != nil {
 		return nil, fmt.Errorf("hier bench: parse: %w", err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -109,12 +110,12 @@ func TestRunReportsFailedTrials(t *testing.T) {
 	// The in-process check of the same bug: run() must surface failed
 	// trials/points as errors so main exits non-zero.
 	path := writeDeck(t, failMCDeck)
-	err := run(path, testCfg(config{plot: false}))
+	err := run(io.Discard, path, testCfg(config{plot: false}))
 	if err == nil || !strings.Contains(err.Error(), "trials failed") {
 		t.Errorf("mc run with failing trials returned %v", err)
 	}
 	path = writeDeck(t, failStepDeck)
-	err = run(path, testCfg(config{plot: false}))
+	err = run(io.Discard, path, testCfg(config{plot: false}))
 	if err == nil || !strings.Contains(err.Error(), "points failed") {
 		t.Errorf("step run with failing points returned %v", err)
 	}

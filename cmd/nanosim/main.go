@@ -31,15 +31,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
 	"strings"
 
 	"nanosim"
+	"nanosim/internal/analysis"
 	"nanosim/internal/netparse"
+	"nanosim/internal/pipeline"
 )
 
 // config carries the CLI flags into run.
@@ -61,48 +65,54 @@ type config struct {
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.engine, "engine", "swec", "transient engine: swec, nr, mla or pwl")
-	flag.StringVar(&cfg.csvPath, "csv", "", "write analysis waveforms as CSV to this file")
-	flag.BoolVar(&cfg.plot, "plot", true, "render ASCII plots of the results")
-	flag.IntVar(&cfg.width, "width", 78, "plot width in characters")
-	flag.IntVar(&cfg.height, "height", 16, "plot height in characters")
-	flag.IntVar(&cfg.mc, "mc", 0, "run a Monte Carlo with this many trials (overrides the .mc card count)")
-	flag.BoolVar(&cfg.step, "step", false, "run only the deck's .step parameter sweep")
-	flag.BoolVar(&cfg.ac, "ac", false, "run only the deck's .ac small-signal analyses")
-	flag.IntVar(&cfg.workers, "workers", 0, "parallel workers for -mc/-step batches (0 = GOMAXPROCS)")
-	flag.BoolVar(&cfg.partition, "partition", false, "run SWEC transients on the torn-block engine (like a '.options partition' card)")
-	flag.Float64Var(&cfg.gcouple, "gcouple", 0, "partitioner coupling threshold in (0,1) (0 = engine default)")
-	flag.IntVar(&cfg.threads, "j", 0, "worker threads for the partitioned-transient and AC engines (like a '.options threads=' card; results are bit-identical at any value)")
-	seed := flag.Uint64("seed", 0, "override the Monte Carlo seed")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nanosim [flags] deck.sp\n\n")
-		flag.PrintDefaults()
+	cfg, path, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	flag.Parse()
-	cfg.seedSet = flagWasSet("seed")
-	cfg.seed = *seed
-	if flag.NArg() != 1 {
-		flag.Usage()
+	if err != nil {
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), cfg); err != nil {
+	if err := run(os.Stdout, path, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "nanosim:", err)
 		os.Exit(1)
 	}
 }
 
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
+// parseArgs reads the command line (without the program name) into a
+// config and the deck path. Usage and flag errors go to stderr.
+func parseArgs(args []string, stderr io.Writer) (config, string, error) {
+	var cfg config
+	fs := flag.NewFlagSet("nanosim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&cfg.engine, "engine", "swec", "transient engine: swec, nr, mla or pwl")
+	fs.StringVar(&cfg.csvPath, "csv", "", "write analysis waveforms as CSV to this file")
+	fs.BoolVar(&cfg.plot, "plot", true, "render ASCII plots of the results")
+	fs.IntVar(&cfg.width, "width", 78, "plot width in characters")
+	fs.IntVar(&cfg.height, "height", 16, "plot height in characters")
+	fs.IntVar(&cfg.mc, "mc", 0, "run a Monte Carlo with this many trials (overrides the .mc card count)")
+	fs.BoolVar(&cfg.step, "step", false, "run only the deck's .step parameter sweep")
+	fs.BoolVar(&cfg.ac, "ac", false, "run only the deck's .ac small-signal analyses")
+	fs.IntVar(&cfg.workers, "workers", 0, "parallel workers for -mc/-step batches (0 = GOMAXPROCS)")
+	fs.BoolVar(&cfg.partition, "partition", false, "run SWEC transients on the torn-block engine (like a '.options partition' card)")
+	fs.Float64Var(&cfg.gcouple, "gcouple", 0, "partitioner coupling threshold in (0,1) (0 = engine default)")
+	fs.IntVar(&cfg.threads, "j", 0, "worker threads for the partitioned-transient and AC engines (like a '.options threads=' card; results are bit-identical at any value)")
+	fs.Uint64Var(&cfg.seed, "seed", 0, "override the Monte Carlo seed")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: nanosim [flags] deck.sp\n\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return cfg, "", err
+	}
+	fs.Visit(func(f *flag.Flag) { cfg.seedSet = cfg.seedSet || f.Name == "seed" })
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return cfg, "", errors.New("want exactly one deck")
+	}
+	return cfg, fs.Arg(0), nil
 }
 
-func run(path string, cfg config) error {
+func run(stdout io.Writer, path string, cfg config) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -111,28 +121,41 @@ func run(path string, cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("* %s\n", deck.Circuit.Title)
-	fmt.Printf("* %d elements, %d nodes, %d analyses\n\n",
+	fmt.Fprintf(stdout, "* %s\n", deck.Circuit.Title)
+	fmt.Fprintf(stdout, "* %d elements, %d nodes, %d analyses\n\n",
 		len(deck.Circuit.Elements()), deck.Circuit.NumNodes()-1, len(deck.Analyses))
-	popt, err := partitionOpts(deck, cfg)
-	if err != nil {
-		return err
+	if cfg.gcouple != 0 && (cfg.gcouple <= 0 || cfg.gcouple >= 1) {
+		return fmt.Errorf("-gcouple %g out of range (want a ratio in (0,1))", cfg.gcouple)
 	}
-	threads, err := threadsOf(deck, cfg)
-	if err != nil {
-		return err
-	}
-
 	wantMC := cfg.mc > 0 || deck.MC != nil
 	wantStep := cfg.step || len(deck.Steps) > 0
+	ovr := pipeline.Overrides{
+		Trials: cfg.mc, Workers: cfg.workers, Threads: cfg.threads,
+		Partition: cfg.partition, GCouple: cfg.gcouple,
+	}
+	if cfg.seedSet && wantMC {
+		// -seed reseeds the .mc batch only, never a single run.
+		ovr.Seed = &cfg.seed
+	}
+	plan, err := pipeline.New(deck, ovr)
+	if err != nil {
+		return err
+	}
+	if cfg.gcouple != 0 && plan.Partition() == nil {
+		return fmt.Errorf("-gcouple needs -partition (or a '.options partition' card in the deck)")
+	}
+	if cfg.threads < 0 {
+		return fmt.Errorf("-j %d out of range (want an integer >= 0)", cfg.threads)
+	}
+
 	if wantMC || wantStep {
 		if wantStep {
-			if err := runStep(deck, cfg, popt, threads); err != nil {
+			if err := runStep(stdout, plan, deck); err != nil {
 				return err
 			}
 		}
 		if wantMC && !cfg.step {
-			if err := runMC(deck, cfg, popt, threads); err != nil {
+			if err := runMC(stdout, plan, deck, cfg); err != nil {
 				return err
 			}
 		}
@@ -156,140 +179,111 @@ func run(path string, cfg config) error {
 	}
 	var lastWaves *nanosim.WaveSet
 	for _, a := range analyses {
-		switch a.Kind {
-		case "op":
-			res, err := nanosim.OperatingPoint(deck.Circuit, nanosim.DCOptions{})
-			if err != nil {
-				return fmt.Errorf(".op: %w", err)
-			}
-			fmt.Printf("== .op (SWEC fixed point, %d iterations) ==\n", res.Iterations)
-			for _, n := range deck.Circuit.NodeNames() {
-				v := res.X[int(deck.Circuit.Node(n))-1]
-				fmt.Printf("  v(%s) = %s\n", n, nanosim.FormatValue(v, 5))
-			}
-			fmt.Println()
-		case "dc":
-			res, err := nanosim.Sweep(deck.Circuit, a.Src, a.From, a.To, a.Points, a.Device,
-				nanosim.DCOptions{RefineIters: 3})
-			if err != nil {
-				return fmt.Errorf(".dc: %w", err)
-			}
-			fmt.Printf("== .dc %s %g -> %g (%d points) ==\n", a.Src, a.From, a.To, a.Points)
-			lastWaves = res.Waves
-			if cfg.plot {
-				names := []string{}
-				if a.Device != "" {
-					names = append(names, "i(dev)")
-				}
-				if err := res.Waves.Plot(os.Stdout, cfg.width, cfg.height, names...); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
-		case "ac":
-			res, err := nanosim.AC(deck.Circuit, nanosim.ACOptions{
-				Grid: a.ACGrid, Points: a.Points, FStart: a.From, FStop: a.To, Workers: threads})
-			if err != nil {
-				return fmt.Errorf(".ac: %w", err)
-			}
-			fmt.Printf("== .ac %s %d %s -> %s (%d points, %d noise sources, OP in %d iterations) ==\n",
-				a.ACGrid, a.Points, nanosim.FormatValue(a.From, 3), nanosim.FormatValue(a.To, 3),
-				len(res.Freqs), res.NoiseSources, res.OPIterations)
-			lastWaves = res.Waves
-			if cfg.plot {
-				// A shared .print list may mix time-domain names into an
-				// AC deck; keep only the names this sweep produced.
-				names := presentNames(res.Waves, deck.Prints)
-				if len(names) == 0 {
-					// Every vm/vp/vdb/onoise series at once is unreadable;
-					// default to the magnitude curves.
-					for _, n := range res.Waves.Names() {
-						if strings.HasPrefix(n, "vdb(") {
-							names = append(names, n)
-						}
-					}
-				}
-				if err := res.Waves.Plot(os.Stdout, cfg.width, cfg.height, names...); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
-		case "tran":
-			waves, stats, err := runTransient(deck.Circuit, cfg.engine, a, popt, threads)
-			if err != nil {
-				return fmt.Errorf(".tran: %w", err)
-			}
-			fmt.Printf("== .tran to %s (%s engine) ==\n%s\n", nanosim.FormatValue(a.TStop, 3), cfg.engine, stats)
+		waves, err := runCard(stdout, plan, deck, a, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", pipeline.Label(a.Kind), err)
+		}
+		if waves != nil {
 			lastWaves = waves
-			if cfg.plot {
-				if err := waves.Plot(os.Stdout, cfg.width, cfg.height, presentNames(waves, deck.Prints)...); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
-		case "em":
-			res, err := nanosim.Stochastic(deck.Circuit, nanosim.NoiseOptions{
-				TStop: a.TStop, Steps: a.Steps, Seed: a.Seed})
-			if err != nil {
-				return fmt.Errorf(".em: %w", err)
-			}
-			fmt.Printf("== .em to %s (%d steps, %d noise sources, seed %d) ==\n",
-				nanosim.FormatValue(a.TStop, 3), a.Steps, res.NoiseSources, a.Seed)
-			lastWaves = res.Waves
-			if cfg.plot {
-				if err := res.Waves.Plot(os.Stdout, cfg.width, cfg.height, presentNames(res.Waves, deck.Prints)...); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
-		case "settran":
-			res, err := nanosim.SETTransient(deck.Circuit, nanosim.SETOptions{
-				TStep: a.TStep, TStop: a.TStop, Temp: a.Temp, Seed: a.Seed})
-			if err != nil {
-				return fmt.Errorf(".set tran: %w", err)
-			}
-			fmt.Printf("== .set tran to %s (T=%gK, seed %d): %d tunneling events, %d env solves ==\n",
-				nanosim.FormatValue(a.TStop, 3), res.Temp, a.Seed, res.Events, res.EnvSolves)
-			lastWaves = res.Waves
-			if cfg.plot {
-				if err := res.Waves.Plot(os.Stdout, cfg.width, cfg.height, presentNames(res.Waves, deck.Prints)...); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
-		case "setmap":
-			res, err := nanosim.SETMap(deck.Circuit, nanosim.SETMapOptions{
-				Gate: a.Src, GFrom: a.From, GTo: a.To, GPoints: a.Points,
-				Drain: a.Src2, DFrom: a.From2, DTo: a.To2, DPoints: a.Points2,
-				Temp: a.Temp, Method: a.Method, Window: a.Window, Seed: a.Seed,
-				Workers: threads})
-			if err != nil {
-				return fmt.Errorf(".set map: %w", err)
-			}
-			fmt.Printf("== .set map %s %g -> %g (%d points) x %s %g -> %g (%d points), %s method, T=%gK ==\n",
-				a.Src, a.From, a.To, a.Points, a.Src2, a.From2, a.To2, a.Points2, res.Method, res.Temp)
-			if period, err := res.GatePeriod(len(res.Drain) - 1); err == nil {
-				fmt.Printf("  Coulomb oscillation period: %s (e/Cgate for a clean SET)\n",
-					nanosim.FormatValue(period, 4))
-			}
-			lastWaves = res.Waves
-			if cfg.plot {
-				if err := res.Waves.Plot(os.Stdout, cfg.width, cfg.height); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
 		}
 	}
 	if cfg.csvPath != "" && lastWaves != nil {
-		if err := writeCSV(cfg.csvPath, lastWaves); err != nil {
+		if err := writeCSV(stdout, cfg.csvPath, lastWaves); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeCSV(path string, waves *nanosim.WaveSet) error {
+// runCard runs one analysis card and prints it; it returns the waves
+// -csv writes (none for an .op).
+func runCard(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck, a netparse.Analysis, cfg config) (*nanosim.WaveSet, error) {
+	if a.Kind == "tran" && cfg.engine != "swec" && cfg.engine != "" {
+		waves, desc, err := runBaseline(deck.Circuit, cfg.engine, a)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "== .tran to %s (%s engine) ==\n%s\n", nanosim.FormatValue(a.TStop, 3), cfg.engine, desc)
+		return waves, plotCard(w, waves, cfg, presentNames(waves, deck.Prints))
+	}
+	out, err := analysis.Run(deck.Circuit, plan.Card(a))
+	if err != nil {
+		return nil, err
+	}
+	if a.Kind == "op" {
+		fmt.Fprintf(w, "== .op (SWEC fixed point, %d iterations) ==\n", out.OP.Iterations)
+		for _, n := range deck.Circuit.NodeNames() {
+			v := out.OP.X[int(deck.Circuit.Node(n))-1]
+			fmt.Fprintf(w, "  v(%s) = %s\n", n, nanosim.FormatValue(v, 5))
+		}
+		fmt.Fprintln(w)
+		return nil, nil
+	}
+	names := presentNames(out.Waves, deck.Prints)
+	switch a.Kind {
+	case "dc":
+		fmt.Fprintf(w, "== .dc %s %g -> %g (%d points) ==\n", a.Src, a.From, a.To, a.Points)
+		names = nil
+		if a.Device != "" {
+			names = []string{"i(dev)"}
+		}
+	case "ac":
+		res := out.AC
+		fmt.Fprintf(w, "== .ac %s %d %s -> %s (%d points, %d noise sources, OP in %d iterations) ==\n",
+			a.ACGrid, a.Points, nanosim.FormatValue(a.From, 3), nanosim.FormatValue(a.To, 3),
+			len(res.Freqs), res.NoiseSources, res.OPIterations)
+		// A shared .print list may mix time-domain names into an AC
+		// deck; presentNames kept only the names this sweep produced.
+		if len(names) == 0 {
+			// Every vm/vp/vdb/onoise series at once is unreadable;
+			// default to the magnitude curves.
+			for _, n := range res.Waves.Names() {
+				if strings.HasPrefix(n, "vdb(") {
+					names = append(names, n)
+				}
+			}
+		}
+	case "tran":
+		st := out.Tran.Stats
+		desc := fmt.Sprintf("steps=%d rejected=%d solves=%d (no Newton iterations)", st.Steps, st.Rejected, st.Solves)
+		if st.Blocks > 0 {
+			desc += fmt.Sprintf("\npartition: %d blocks, %d tears, %d block-solves, %d dormant block-steps skipped",
+				st.Blocks, st.Tears, st.BlockSolves, st.BlockSkips)
+		}
+		fmt.Fprintf(w, "== .tran to %s (%s engine) ==\n%s\n", nanosim.FormatValue(a.TStop, 3), cfg.engine, desc)
+	case "em":
+		fmt.Fprintf(w, "== .em to %s (%d steps, %d noise sources, seed %d) ==\n",
+			nanosim.FormatValue(a.TStop, 3), a.Steps, out.EM.NoiseSources, a.Seed)
+	case "settran":
+		res := out.SET
+		fmt.Fprintf(w, "== .set tran to %s (T=%gK, seed %d): %d tunneling events, %d env solves ==\n",
+			nanosim.FormatValue(a.TStop, 3), res.Temp, a.Seed, res.Events, res.EnvSolves)
+	case "setmap":
+		res := out.Map
+		fmt.Fprintf(w, "== .set map %s %g -> %g (%d points) x %s %g -> %g (%d points), %s method, T=%gK ==\n",
+			a.Src, a.From, a.To, a.Points, a.Src2, a.From2, a.To2, a.Points2, res.Method, res.Temp)
+		if period, err := res.GatePeriod(len(res.Drain) - 1); err == nil {
+			fmt.Fprintf(w, "  Coulomb oscillation period: %s (e/Cgate for a clean SET)\n",
+				nanosim.FormatValue(period, 4))
+		}
+		names = nil
+	}
+	return out.Waves, plotCard(w, out.Waves, cfg, names)
+}
+
+// plotCard ends a card's section: its plot when plots are on, then a
+// blank line.
+func plotCard(w io.Writer, waves *nanosim.WaveSet, cfg config, names []string) error {
+	if cfg.plot {
+		if err := waves.Plot(w, cfg.width, cfg.height, names...); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
+func writeCSV(stdout io.Writer, path string, waves *nanosim.WaveSet) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -298,157 +292,26 @@ func writeCSV(path string, waves *nanosim.WaveSet) error {
 	if err := waves.WriteCSV(f); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }
 
-// partitionOpts merges the deck's .options card with the CLI flags into
-// the torn-block engine configuration (nil = monolithic engine). The
-// flag gets the same validation as the card, and asking for a threshold
-// without enabling the engine is an error rather than a silent no-op.
-func partitionOpts(deck *netparse.Deck, cfg config) (*nanosim.PartitionOptions, error) {
-	if cfg.gcouple != 0 && (cfg.gcouple <= 0 || cfg.gcouple >= 1) {
-		return nil, fmt.Errorf("-gcouple %g out of range (want a ratio in (0,1))", cfg.gcouple)
-	}
-	enabled := cfg.partition
-	popt := nanosim.PartitionOptions{GCouple: cfg.gcouple}
-	if o := deck.Options; o != nil {
-		enabled = enabled || o.Partition
-		popt.NoDormancy = o.NoDormancy
-		if popt.GCouple == 0 {
-			popt.GCouple = o.GCouple
-		}
-	}
-	if !enabled {
-		if cfg.gcouple != 0 {
-			return nil, fmt.Errorf("-gcouple needs -partition (or a '.options partition' card in the deck)")
-		}
-		return nil, nil
-	}
-	return &popt, nil
-}
-
-// threadsOf merges the deck's '.options threads=' with the -j flag (the
-// flag wins). Thread counts only change wall-clock time, never results:
-// every engine's parallel path is bit-identical at any worker count.
-func threadsOf(deck *netparse.Deck, cfg config) (int, error) {
-	if cfg.threads < 0 {
-		return 0, fmt.Errorf("-j %d out of range (want an integer >= 0)", cfg.threads)
-	}
-	if cfg.threads > 0 {
-		return cfg.threads, nil
-	}
-	if o := deck.Options; o != nil {
-		return o.Threads, nil
-	}
-	return 0, nil
-}
-
-// batchJob builds the per-trial analysis from the deck's cards: the .mc
-// analysis keyword when given, else the first .tran, else .em, else .op.
-func batchJob(deck *netparse.Deck, popt *nanosim.PartitionOptions, threads int) (nanosim.VaryJob, error) {
-	kind := ""
-	if deck.MC != nil {
-		kind = deck.MC.Analysis
-	}
-	var tran, em, set *netparse.Analysis
-	for i := range deck.Analyses {
-		a := &deck.Analyses[i]
-		switch {
-		case a.Kind == "tran" && tran == nil:
-			tran = a
-		case a.Kind == "em" && em == nil:
-			em = a
-		case a.Kind == "settran" && set == nil:
-			set = a
-		}
-	}
-	if kind == "" {
-		switch {
-		case tran != nil:
-			kind = "tran"
-		case em != nil:
-			kind = "em"
-		case set != nil:
-			kind = "set"
-		default:
-			kind = "op"
-		}
-	}
-	job := nanosim.VaryJob{Analysis: kind}
-	switch kind {
-	case "tran":
-		if tran == nil {
-			return job, fmt.Errorf(".mc tran needs a .tran card")
-		}
-		job.Tran = nanosim.TranOptions{TStop: tran.TStop, HInit: tran.TStep, RecordCurrents: true, Partition: popt, Workers: threads}
-	case "em":
-		if em == nil {
-			return job, fmt.Errorf(".mc em needs a .em card")
-		}
-		job.EM = nanosim.NoiseOptions{TStop: em.TStop, Steps: em.Steps, Seed: em.Seed}
-	case "set":
-		if set == nil {
-			return job, fmt.Errorf(".mc set needs a '.set tran' card")
-		}
-		job.SET = nanosim.SETOptions{TStep: set.TStep, TStop: set.TStop, Temp: set.Temp, Seed: set.Seed}
-	}
-	return job, nil
-}
-
-// printSignals filters the .print list to the batch's measurable series;
-// empty means every recorded signal.
-func printSignals(deck *netparse.Deck) []string {
-	return append([]string(nil), deck.Prints...)
-}
-
 // runMC executes the deck's Monte Carlo cards.
-func runMC(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, threads int) error {
-	if len(deck.Varies) == 0 {
-		return fmt.Errorf("-mc/.mc needs at least one .vary card")
-	}
-	job, err := batchJob(deck, popt, threads)
+func runMC(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck, cfg config) error {
+	opt, err := plan.MC()
 	if err != nil {
 		return err
 	}
-	opt := nanosim.VaryOptions{Job: job, Signals: printSignals(deck), Workers: cfg.workers}
-	if deck.MC != nil {
-		opt.Trials = deck.MC.Trials
-		opt.Seed = deck.MC.Seed
-		if opt.Workers == 0 {
-			opt.Workers = deck.MC.Workers
-		}
-	}
-	if cfg.mc > 0 {
-		opt.Trials = cfg.mc
-	}
-	if cfg.seedSet {
-		opt.Seed = cfg.seed
-	}
-	for _, v := range deck.Varies {
-		dist, err := nanosim.ParseVaryDist(v.Dist)
-		if err != nil {
-			return fmt.Errorf("netlist line %d: %w", v.Line, err)
-		}
-		opt.Specs = append(opt.Specs, nanosim.VarySpec{
-			Elem: v.Elem, Param: v.Param, Dist: dist,
-			Sigma: v.Sigma, Rel: v.Rel, Lot: v.Lot,
-		})
-	}
-	for _, l := range deck.Limits {
-		opt.Limits = append(opt.Limits, nanosim.VaryLimit{Signal: l.Signal, Stat: l.Stat, Lo: l.Lo, Hi: l.Hi})
-	}
-
 	res, err := nanosim.Vary(deck.Circuit, opt)
 	if err != nil {
 		return fmt.Errorf(".mc: %w", err)
 	}
-	fmt.Printf("== .mc %d trials (%s job, seed %d) ==\n", res.Trials, job.Analysis, opt.Seed)
+	fmt.Fprintf(w, "== .mc %d trials (%s job, seed %d) ==\n", res.Trials, opt.Job.Analysis, opt.Seed)
 	for _, sp := range opt.Specs {
-		fmt.Printf("  vary %s\n", sp)
+		fmt.Fprintf(w, "  vary %s\n", sp)
 	}
 	if res.Failed > 0 {
-		fmt.Printf("  %d trials FAILED; first: %v\n", res.Failed, res.TrialErrors[0])
+		fmt.Fprintf(w, "  %d trials FAILED; first: %v\n", res.Failed, res.TrialErrors[0])
 	}
 	env := nanosim.NewWaveSet()
 	for _, sg := range res.Signals {
@@ -456,11 +319,11 @@ func runMC(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, thre
 		q50, _ := sg.Quantile(0.5)
 		qlo, _ := sg.Quantile(0.05)
 		qhi, _ := sg.Quantile(0.95)
-		fmt.Printf("\n  %s final: nominal %s | median %s [q05 %s, q95 %s]\n",
+		fmt.Fprintf(w, "\n  %s final: nominal %s | median %s [q05 %s, q95 %s]\n",
 			sg.Name, nanosim.FormatValue(nom.Final(), 4), nanosim.FormatValue(q50, 4),
 			nanosim.FormatValue(qlo, 4), nanosim.FormatValue(qhi, 4))
 		if sg.FinalHist != nil {
-			fmt.Print(indent(sg.FinalHist.String(), "  "))
+			fmt.Fprint(w, indent(sg.FinalHist.String(), "  "))
 		}
 		for _, s := range []*nanosim.Series{sg.Mean, sg.QLo, sg.QHi} {
 			if s != nil {
@@ -472,23 +335,23 @@ func runMC(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, thre
 	}
 	if len(opt.Limits) > 0 {
 		for _, l := range opt.Limits {
-			fmt.Printf("  limit %s\n", l)
+			fmt.Fprintf(w, "  limit %s\n", l)
 		}
-		fmt.Printf("  yield: %.1f%% +/- %.1f%% (%d/%d trials pass)\n",
+		fmt.Fprintf(w, "  yield: %.1f%% +/- %.1f%% (%d/%d trials pass)\n",
 			100*res.Yield, 100*res.YieldSE, res.Passed, res.Trials)
 	}
 	if cfg.plot && env.Len() > 0 {
-		fmt.Println("\n  envelope (mean with quantile band):")
-		if err := env.Plot(os.Stdout, cfg.width, cfg.height); err != nil {
+		fmt.Fprintln(w, "\n  envelope (mean with quantile band):")
+		if err := env.Plot(w, cfg.width, cfg.height); err != nil {
 			return err
 		}
 	}
 	if cfg.csvPath != "" && env.Len() > 0 {
-		if err := writeCSV(cfg.csvPath, env); err != nil {
+		if err := writeCSV(w, cfg.csvPath, env); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("\n  solver reuse: %d numeric refactors, %d full factorizations\n",
+	fmt.Fprintf(w, "\n  solver reuse: %d numeric refactors, %d full factorizations\n",
 		res.Solve.NumericRefactor, res.Solve.FullFactor)
 	// Failed trials were reported above; they must also fail the exit
 	// status, or batch drivers (CI, scripts) read a broken batch as
@@ -500,25 +363,16 @@ func runMC(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, thre
 }
 
 // runStep executes the deck's .step sweep.
-func runStep(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, threads int) error {
-	if len(deck.Steps) == 0 {
-		return fmt.Errorf("-step needs at least one .step card")
-	}
-	job, err := batchJob(deck, popt, threads)
+func runStep(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck) error {
+	opt, err := plan.Step()
 	if err != nil {
 		return err
-	}
-	opt := nanosim.ParamSweepOptions{Job: job, Signals: printSignals(deck), Workers: cfg.workers}
-	for _, s := range deck.Steps {
-		opt.Axes = append(opt.Axes, nanosim.ParamSweepAxis{
-			Elem: s.Elem, Param: s.Param, From: s.From, To: s.To, Points: s.Points, Log: s.Log,
-		})
 	}
 	res, err := nanosim.ParamSweep(deck.Circuit, opt)
 	if err != nil {
 		return fmt.Errorf(".step: %w", err)
 	}
-	fmt.Printf("== .step sweep: %d points (%s job) ==\n", res.Runs(), job.Analysis)
+	fmt.Fprintf(w, "== .step sweep: %d points (%s job) ==\n", res.Runs(), opt.Job.Analysis)
 	header := make([]string, 0, len(res.Axes)+len(res.Signals))
 	for _, a := range res.Axes {
 		name := a.Elem
@@ -533,7 +387,7 @@ func runStep(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, th
 	for _, s := range signals {
 		header = append(header, "final "+s)
 	}
-	fmt.Printf("  %s\n", strings.Join(header, "\t"))
+	fmt.Fprintf(w, "  %s\n", strings.Join(header, "\t"))
 	for r := 0; r < res.Runs(); r++ {
 		row := make([]string, 0, len(header))
 		for _, v := range res.Values[r] {
@@ -547,9 +401,9 @@ func runStep(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, th
 				row = append(row, nanosim.FormatValue(v, 4))
 			}
 		}
-		fmt.Printf("  %s\n", strings.Join(row, "\t"))
+		fmt.Fprintf(w, "  %s\n", strings.Join(row, "\t"))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	// As with .mc: failed grid points fail the exit status.
 	if res.Failed > 0 {
 		return fmt.Errorf(".step: %d of %d points failed (first: %v)", res.Failed, res.Runs(), res.TrialErrors[0])
@@ -557,42 +411,27 @@ func runStep(deck *netparse.Deck, cfg config, popt *nanosim.PartitionOptions, th
 	return nil
 }
 
-// runTransient dispatches on the engine flag.
-func runTransient(ckt *nanosim.Circuit, engine string, a netparse.Analysis, popt *nanosim.PartitionOptions, threads int) (*nanosim.WaveSet, string, error) {
+// runBaseline runs a .tran card through one of the comparison engines
+// (-engine nr|mla|pwl).
+func runBaseline(ckt *nanosim.Circuit, engine string, a netparse.Analysis) (*nanosim.WaveSet, string, error) {
+	opt := nanosim.BaselineOptions{TStop: a.TStop, HInit: a.TStep, RecordCurrents: true}
+	var res *nanosim.BaselineResult
+	var err error
 	switch engine {
-	case "swec", "":
-		res, err := nanosim.Transient(ckt, nanosim.TranOptions{
-			TStop: a.TStop, HInit: a.TStep, RecordCurrents: true, Partition: popt, Workers: threads})
-		if err != nil {
-			return nil, "", err
-		}
-		desc := fmt.Sprintf("steps=%d rejected=%d solves=%d (no Newton iterations)",
-			res.Stats.Steps, res.Stats.Rejected, res.Stats.Solves)
-		if res.Stats.Blocks > 0 {
-			desc += fmt.Sprintf("\npartition: %d blocks, %d tears, %d block-solves, %d dormant block-steps skipped",
-				res.Stats.Blocks, res.Stats.Tears, res.Stats.BlockSolves, res.Stats.BlockSkips)
-		}
-		return res.Waves, desc, nil
-	case "nr", "mla", "pwl":
-		opt := nanosim.BaselineOptions{TStop: a.TStop, HInit: a.TStep, RecordCurrents: true}
-		var res *nanosim.BaselineResult
-		var err error
-		switch engine {
-		case "nr":
-			res, err = nanosim.TransientNR(ckt, opt)
-		case "mla":
-			res, err = nanosim.TransientMLA(ckt, opt)
-		default:
-			res, err = nanosim.TransientPWL(ckt, opt)
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return res.Waves, fmt.Sprintf("steps=%d rejected=%d NR-iters=%d unconverged=%d",
-			res.Stats.Steps, res.Stats.Rejected, res.Stats.NRIters, res.Stats.NonConverged), nil
+	case "nr":
+		res, err = nanosim.TransientNR(ckt, opt)
+	case "mla":
+		res, err = nanosim.TransientMLA(ckt, opt)
+	case "pwl":
+		res, err = nanosim.TransientPWL(ckt, opt)
 	default:
 		return nil, "", fmt.Errorf("unknown engine %q (want swec, nr, mla or pwl)", engine)
 	}
+	if err != nil {
+		return nil, "", err
+	}
+	return res.Waves, fmt.Sprintf("steps=%d rejected=%d NR-iters=%d unconverged=%d",
+		res.Stats.Steps, res.Stats.Rejected, res.Stats.NRIters, res.Stats.NonConverged), nil
 }
 
 // presentNames filters a .print list to the series an analysis actually

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,7 +48,7 @@ func writeDeck(t *testing.T, content string) string {
 func TestRunAllAnalyses(t *testing.T) {
 	path := writeDeck(t, testDeck)
 	csv := filepath.Join(filepath.Dir(path), "out.csv")
-	if err := run(path, testCfg(config{csvPath: csv})); err != nil {
+	if err := run(io.Discard, path, testCfg(config{csvPath: csv})); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -62,25 +63,25 @@ func TestRunAllAnalyses(t *testing.T) {
 func TestRunEngines(t *testing.T) {
 	path := writeDeck(t, testDeck)
 	for _, engine := range []string{"swec", "nr", "mla", "pwl"} {
-		if err := run(path, testCfg(config{engine: engine})); err != nil {
+		if err := run(io.Discard, path, testCfg(config{engine: engine})); err != nil {
 			t.Errorf("engine %s: %v", engine, err)
 		}
 	}
-	if err := run(path, testCfg(config{engine: "bogus"})); err == nil {
+	if err := run(io.Discard, path, testCfg(config{engine: "bogus"})); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("/nonexistent/deck.sp", testCfg(config{})); err == nil {
+	if err := run(io.Discard, "/nonexistent/deck.sp", testCfg(config{})); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := writeDeck(t, "title only, no elements\n.end\n")
-	if err := run(bad, testCfg(config{})); err == nil {
+	if err := run(io.Discard, bad, testCfg(config{})); err == nil {
 		t.Error("empty circuit accepted")
 	}
 	noAnalysis := writeDeck(t, "t\nV1 a 0 1\nR1 a 0 1k\n.end\n")
-	if err := run(noAnalysis, testCfg(config{})); err == nil {
+	if err := run(io.Discard, noAnalysis, testCfg(config{})); err == nil {
 		t.Error("deck without analyses accepted")
 	}
 }
@@ -88,7 +89,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunWithPlots(t *testing.T) {
 	// Plot path writes to stdout; just confirm it does not error.
 	path := writeDeck(t, testDeck)
-	if err := run(path, testCfg(config{plot: true, height: 8})); err != nil {
+	if err := run(io.Discard, path, testCfg(config{plot: true, height: 8})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,7 +102,7 @@ func TestRunRepositoryDecks(t *testing.T) {
 		"../../testdata/noisy_rc.sp",
 		"../../testdata/ac_rc_filter.sp",
 	} {
-		if err := run(deck, testCfg(config{height: 8})); err != nil {
+		if err := run(io.Discard, deck, testCfg(config{height: 8})); err != nil {
 			t.Errorf("%s: %v", deck, err)
 		}
 	}
@@ -110,10 +111,10 @@ func TestRunRepositoryDecks(t *testing.T) {
 func TestRunRepositoryBatchDecks(t *testing.T) {
 	// The .mc and .step demo decks run in batch mode; trials trimmed
 	// via the -mc override to keep the test quick.
-	if err := run("../../testdata/mc_rtd_inverter.sp", testCfg(config{mc: 16, height: 8})); err != nil {
+	if err := run(io.Discard, "../../testdata/mc_rtd_inverter.sp", testCfg(config{mc: 16, height: 8})); err != nil {
 		t.Errorf("mc deck: %v", err)
 	}
-	if err := run("../../testdata/step_rtd_divider.sp", testCfg(config{height: 8})); err != nil {
+	if err := run(io.Discard, "../../testdata/step_rtd_divider.sp", testCfg(config{height: 8})); err != nil {
 		t.Errorf("step deck: %v", err)
 	}
 }
@@ -135,7 +136,7 @@ CD d 0 10f
 func TestRunMonteCarloCSV(t *testing.T) {
 	path := writeDeck(t, mcDeck)
 	csv := filepath.Join(filepath.Dir(path), "env.csv")
-	if err := run(path, testCfg(config{csvPath: csv})); err != nil {
+	if err := run(io.Discard, path, testCfg(config{csvPath: csv})); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -149,14 +150,14 @@ func TestRunMonteCarloCSV(t *testing.T) {
 
 func TestRunMCWithoutVaryCards(t *testing.T) {
 	path := writeDeck(t, testDeck)
-	if err := run(path, testCfg(config{mc: 4})); err == nil {
+	if err := run(io.Discard, path, testCfg(config{mc: 4})); err == nil {
 		t.Error("-mc without .vary cards accepted")
 	}
 }
 
 func TestRunStepFlagWithoutCards(t *testing.T) {
 	path := writeDeck(t, testDeck)
-	if err := run(path, testCfg(config{step: true})); err == nil {
+	if err := run(io.Discard, path, testCfg(config{step: true})); err == nil {
 		t.Error("-step without .step cards accepted")
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"nanosim/internal/core"
-	"nanosim/internal/exp"
 	"nanosim/internal/flop"
+	"nanosim/internal/hier/hiertest"
 	"nanosim/internal/linsolve"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
@@ -52,13 +52,6 @@ func requireBitIdentical(t *testing.T, label string, a, b *core.Result) {
 	if a.Stats != b.Stats {
 		t.Fatalf("%s: stats differ: %+v vs %+v", label, a.Stats, b.Stats)
 	}
-}
-
-// pipelineDeck is the shared hierarchical pipeline generator
-// (exp.HierPipelineDeck): n stages of one .subckt master, each a
-// rows x cols RTD mesh off a local rail, weakly chained.
-func pipelineDeck(n, rows, cols int) string {
-	return exp.HierPipelineDeck(n, rows, cols)
 }
 
 // compileAndRun runs hier.CompileTransient and executes the result.
@@ -139,7 +132,7 @@ func TestHierMatchesFlatGoldenDecks(t *testing.T) {
 // still matches the flat engine bit-for-bit.
 func TestHierSharesAcrossInstances(t *testing.T) {
 	const stages = 48
-	src := pipelineDeck(stages, 2, 5)
+	src := hiertest.PipelineDeck(stages, 2, 5)
 	deck, err := netparse.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +223,7 @@ func TestHierSharesAcrossInstances(t *testing.T) {
 // of this deck is the hier_compile gate of `nanobench -solverbench`.
 func TestHierPipelineAdoptsAndMatchesFlat(t *testing.T) {
 	const stages = 256
-	deck, err := netparse.Parse(pipelineDeck(stages, 10, 10))
+	deck, err := netparse.Parse(hiertest.PipelineDeck(stages, 10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

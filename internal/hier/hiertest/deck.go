@@ -1,11 +1,13 @@
-package exp
+// Package hiertest generates the decks the hierarchical compiler is
+// measured and tested on.
+package hiertest
 
 import (
 	"fmt"
 	"strings"
 )
 
-// HierPipelineDeck generates the n-stage hierarchical RTD pipeline used
+// PipelineDeck generates the n-stage hierarchical RTD pipeline used
 // by the hierarchical-compile acceptance test (internal/hier) and the
 // nanobench hier_compile case: every stage is one `X` instance of a
 // single .subckt master, so a deck of n stages carries n congruent
@@ -22,7 +24,7 @@ import (
 // rows*cols*n stiff tears of pure bookkeeping), and the local rail row
 // couples to all cells, which is what gives the in-block factorization
 // its fill.
-func HierPipelineDeck(n, rows, cols int) string {
+func PipelineDeck(n, rows, cols int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hier pipeline %d\n", n)
 	b.WriteString("VDD vdd 0 0.55\n")

@@ -35,7 +35,7 @@ import (
 // exhausted; the first unrecoverable shard failure fails the job.
 func (s *Server) runMCCoordinated(j *job) (*Result, *wave.Set, error) {
 	deck := j.entry.deck
-	opt, err := j.mcOptions(deck)
+	opt, err := j.mcOptions()
 	if err != nil {
 		return nil, nil, err
 	}

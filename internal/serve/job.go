@@ -9,13 +9,10 @@ import (
 	"sync"
 	"time"
 
-	"nanosim/internal/acan"
-	"nanosim/internal/core"
+	"nanosim/internal/analysis"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
-	"nanosim/internal/sde"
-	"nanosim/internal/setsim"
-	"nanosim/internal/trace"
+	"nanosim/internal/pipeline"
 	"nanosim/internal/vary"
 	"nanosim/internal/wave"
 )
@@ -28,7 +25,7 @@ type job struct {
 	req    SubmitRequest
 	entry  *deckEntry
 	kind   string
-	popt   *part.Options
+	plan   *pipeline.Plan
 	// deckSrc retains the raw netlist for coordinated mc jobs only: the
 	// coordinator re-submits it verbatim to worker replicas. Every other
 	// job drops the source after compilation.
@@ -109,156 +106,52 @@ func jobKey(hash, kind string, req SubmitRequest, popt *part.Options) string {
 	return b.String()
 }
 
-// resolveAnalysis maps a submission onto an analysis kind and validates
-// that the deck can actually run it — submit-time validation so a bad
+// overrides maps a request onto the deck's cards. Batches default to
+// one inner worker: cross-job parallelism comes from the job pool, and
+// one mc job fanning out to every core would starve its neighbours.
+func (req SubmitRequest) overrides() pipeline.Overrides {
+	o := pipeline.Overrides{
+		TStop: req.TStop, TStep: req.TStep, Seed: req.Seed, Trials: req.Trials,
+		Workers: req.Workers, Threads: req.Threads,
+	}
+	if o.Workers <= 0 {
+		o.Workers = 1
+	}
+	if p := req.Partition; p != nil {
+		o.Partition, o.GCouple, o.NoDormancy = true, p.GCouple, p.NoDormancy
+	}
+	return o
+}
+
+// resolve maps a submission onto its analysis kind and plan, and
+// validates that the deck can run it: submit-time validation, so a bad
 // request is a 4xx, not a failed job.
-func resolveAnalysis(deck *netparse.Deck, req SubmitRequest) (string, error) {
-	kind := strings.ToLower(req.Analysis)
-	if kind == "op" {
-		kind = "dcop"
+func resolve(deck *netparse.Deck, req SubmitRequest) (string, *pipeline.Plan, error) {
+	plan, err := pipeline.New(deck, req.overrides())
+	if err != nil {
+		return "", nil, err
 	}
-	if kind == "" {
-		switch {
-		case deck.MC != nil:
-			kind = "mc"
-		case len(deck.Steps) > 0:
-			kind = "step"
-		default:
-			for _, a := range deck.Analyses {
-				switch a.Kind {
-				case "tran":
-					kind = "tran"
-				case "dc":
-					kind = "dc"
-				case "op":
-					kind = "dcop"
-				case "ac":
-					kind = "ac"
-				case "em":
-					kind = "em"
-				case "settran":
-					kind = "set"
-				}
-				break
-			}
-		}
-		if kind == "" {
-			return "", fmt.Errorf("deck has no analysis cards (.op/.dc/.tran/.em/.set/.mc/.step) and no analysis was requested")
-		}
-	}
-	switch kind {
-	case "tran":
-		if firstAnalysis(deck, "tran") == nil && req.TStop <= 0 {
-			return "", fmt.Errorf("tran job needs a .tran card or a tstop override")
-		}
-	case "dc":
-		if firstAnalysis(deck, "dc") == nil {
-			return "", fmt.Errorf("dc job needs a .dc card")
-		}
-	case "ac":
-		if firstAnalysis(deck, "ac") == nil {
-			return "", fmt.Errorf("ac job needs a .ac card")
-		}
-	case "dcop":
-		// Always runnable.
-	case "em":
-		if firstAnalysis(deck, "em") == nil && req.TStop <= 0 {
-			return "", fmt.Errorf("em job needs a .em card or a tstop override")
-		}
-	case "set":
-		if firstAnalysis(deck, "settran") == nil {
-			return "", fmt.Errorf("set job needs a '.set tran' card")
-		}
-	case "mc":
-		if len(deck.Varies) == 0 {
-			return "", fmt.Errorf("mc job needs at least one .vary card")
-		}
-		mcKind := ""
-		if deck.MC != nil {
-			mcKind = deck.MC.Analysis
-		}
-		if mcKind == "tran" && firstAnalysis(deck, "tran") == nil {
-			return "", fmt.Errorf(".mc tran needs a .tran card")
-		}
-		if mcKind == "em" && firstAnalysis(deck, "em") == nil {
-			return "", fmt.Errorf(".mc em needs a .em card")
-		}
-		if mcKind == "set" && firstAnalysis(deck, "settran") == nil {
-			return "", fmt.Errorf(".mc set needs a '.set tran' card")
-		}
-	case "step":
-		if len(deck.Steps) == 0 {
-			return "", fmt.Errorf("step job needs at least one .step card")
-		}
-	default:
-		return "", fmt.Errorf("unknown analysis %q (want tran, dc, dcop/op, ac, em, set, mc or step)", req.Analysis)
+	kind, err := plan.Kind(req.Analysis)
+	if err != nil {
+		return "", nil, err
 	}
 	if req.Shard != nil {
 		if kind != "mc" {
-			return "", fmt.Errorf("shard ranges apply to mc jobs only, not %q", kind)
+			return "", nil, fmt.Errorf("shard ranges apply to mc jobs only, not %q", kind)
 		}
 		if req.Shard.Start < 0 || req.Shard.End <= req.Shard.Start {
-			return "", fmt.Errorf("bad shard range [%d,%d)", req.Shard.Start, req.Shard.End)
+			return "", nil, fmt.Errorf("bad shard range [%d,%d)", req.Shard.Start, req.Shard.End)
 		}
 	}
-	return kind, nil
-}
-
-// firstAnalysis returns the deck's first card of the given kind, or nil.
-func firstAnalysis(deck *netparse.Deck, kind string) *netparse.Analysis {
-	for i := range deck.Analyses {
-		if deck.Analyses[i].Kind == kind {
-			return &deck.Analyses[i]
-		}
-	}
-	return nil
-}
-
-// resolvePartition merges the deck's .options card with the request into
-// the torn-block engine configuration (nil = monolithic engine).
-func resolvePartition(deck *netparse.Deck, req SubmitRequest) (*part.Options, error) {
-	enabled := req.Partition != nil
-	popt := part.Options{}
-	if req.Partition != nil {
-		popt.GCouple = req.Partition.GCouple
-		popt.NoDormancy = req.Partition.NoDormancy
-	}
-	if o := deck.Options; o != nil {
-		enabled = enabled || o.Partition
-		if popt.GCouple == 0 {
-			popt.GCouple = o.GCouple
-		}
-		popt.NoDormancy = popt.NoDormancy || o.NoDormancy
-	}
-	if !enabled {
-		return nil, nil
-	}
-	if popt.GCouple != 0 && (popt.GCouple <= 0 || popt.GCouple >= 1) {
-		return nil, fmt.Errorf("partition gcouple %g out of range (want a ratio in (0,1))", popt.GCouple)
-	}
-	return &popt, nil
-}
-
-// threads resolves the engines' inner worker bound: the request's
-// Threads override wins, else the deck's ".options threads=" card.
-// Results are bit-identical at any value, so — like Workers — it stays
-// out of the idempotency key and the solver profile.
-func (j *job) threads() int {
-	if j.req.Threads > 0 {
-		return j.req.Threads
-	}
-	if o := j.entry.deck.Options; o != nil {
-		return o.Threads
-	}
-	return 0
+	return kind, plan, nil
 }
 
 // profile keys the solver free list: runs with the same profile stamp
 // identical factory-call sequences.
 func (j *job) profile() string {
 	p := j.kind
-	if j.popt != nil {
-		p += fmt.Sprintf("+part(g=%g,nd=%v)", j.popt.GCouple, j.popt.NoDormancy)
+	if popt := j.plan.Partition(); popt != nil {
+		p += fmt.Sprintf("+part(g=%g,nd=%v)", popt.GCouple, popt.NoDormancy)
 	}
 	return p
 }
@@ -268,7 +161,6 @@ func (j *job) profile() string {
 // the compiled stamp pattern and symbolic LU of this deck profile carry
 // over to the next job.
 func (j *job) run(met *metrics) (*Result, *wave.Set, error) {
-	deck := j.entry.deck
 	start := time.Now()
 	var (
 		res   *Result
@@ -277,255 +169,72 @@ func (j *job) run(met *metrics) (*Result, *wave.Set, error) {
 	)
 	switch j.kind {
 	case "mc":
-		res, waves, err = j.runMC(deck)
+		res, waves, err = j.runMC()
 	case "step":
-		res, waves, err = j.runStep(deck)
+		res, waves, err = j.runStep()
 	default:
 		// Single-run analyses share the entry's compiled solver state.
 		ss := j.entry.checkout(j.profile(), met)
-		res, waves, err = j.runSingle(deck, ss)
+		res, waves, err = j.runSingle(ss)
 		j.entry.checkin(ss, met, err == nil)
 	}
 	met.observe(j.kind, time.Since(start))
 	return res, waves, err
 }
 
-// runSingle executes tran/dc/dcop/em on a clone of the cached circuit.
-// Cloning keeps the cached deck immutable (core.Sweep mutates the swept
-// source) and costs a circuit walk — the parse and the solver state are
-// what the cache is for.
-func (j *job) runSingle(deck *netparse.Deck, ss *solverSet) (*Result, *wave.Set, error) {
-	ckt := deck.Circuit.Clone()
+// runSingle executes a single-run analysis on a clone of the cached
+// circuit. Cloning keeps the cached deck immutable (core.Sweep mutates
+// the swept source) and costs a circuit walk — the parse and the solver
+// state are what the cache is for.
+func (j *job) runSingle(ss *solverSet) (*Result, *wave.Set, error) {
+	ckt := j.entry.deck.Circuit.Clone()
+	spec := j.plan.Single(j.kind)
+	spec.Ctx, spec.Solver = j.ctx, ss.factory
+	out, err := analysis.Run(ckt, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &Result{Kind: j.kind, Signals: out.Waves.Names()}
 	switch j.kind {
 	case "tran":
-		opt := core.Options{RecordCurrents: true, Partition: j.popt, Workers: j.threads(), Ctx: j.ctx, Solver: ss.factory}
-		if a := firstAnalysis(deck, "tran"); a != nil {
-			opt.TStop, opt.HInit = a.TStop, a.TStep
+		st := out.Tran.Stats
+		res.Tran = &TranResult{
+			Steps: st.Steps, Rejected: st.Rejected, Solves: st.Solves, Blocks: st.Blocks,
+			Final: finals(out.Waves),
 		}
-		if j.req.TStop > 0 {
-			opt.TStop = j.req.TStop
-		}
-		if j.req.TStep > 0 {
-			opt.HInit = j.req.TStep
-		}
-		r, err := core.Transient(ckt, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Result{
-			Kind:    "tran",
-			Signals: r.Waves.Names(),
-			Tran: &TranResult{
-				Steps:    r.Stats.Steps,
-				Rejected: r.Stats.Rejected,
-				Solves:   r.Stats.Solves,
-				Blocks:   r.Stats.Blocks,
-				Final:    finals(r.Waves),
-			},
-		}, r.Waves, nil
 	case "dc":
-		a := firstAnalysis(deck, "dc")
-		r, err := core.Sweep(ckt, a.Src, a.From, a.To, a.Points, a.Device,
-			core.DCOptions{RefineIters: 3, Ctx: j.ctx, Solver: ss.factory})
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Result{
-			Kind:    "dc",
-			Signals: r.Waves.Names(),
-			DC:      &DCSweepResult{Points: a.Points, From: a.From, To: a.To},
-		}, r.Waves, nil
+		res.DC = &DCSweepResult{Points: spec.DC.Points, From: spec.DC.From, To: spec.DC.To}
 	case "ac":
-		a := firstAnalysis(deck, "ac")
-		r, err := acan.AC(ckt, acan.Options{
-			Grid: a.ACGrid, Points: a.Points, FStart: a.From, FStop: a.To,
-			Workers: j.threads(),
-			Ctx:     j.ctx, DC: core.DCOptions{Ctx: j.ctx, Solver: ss.factory},
-		})
-		if err != nil {
-			return nil, nil, err
+		res.AC = &ACSweepResult{
+			Grid: spec.AC.Grid, Points: len(out.AC.Freqs), FStart: spec.AC.FStart, FStop: spec.AC.FStop,
+			NoiseSources: out.AC.NoiseSources, OPIterations: out.AC.OPIterations,
 		}
-		return &Result{
-			Kind:    "ac",
-			Signals: r.Waves.Names(),
-			AC: &ACSweepResult{
-				Grid: a.ACGrid, Points: len(r.Freqs), FStart: a.From, FStop: a.To,
-				NoiseSources: r.NoiseSources, OPIterations: r.OPIterations,
-			},
-		}, r.Waves, nil
 	case "dcop":
-		r, err := core.OperatingPoint(ckt, core.DCOptions{Ctx: j.ctx, Solver: ss.factory})
-		if err != nil {
-			return nil, nil, err
-		}
 		nodes := map[string]float64{}
 		for _, name := range ckt.NodeNames() {
-			nodes[name] = r.X[int(ckt.Node(name))-1]
+			nodes[name] = out.OP.X[int(ckt.Node(name))-1]
 		}
-		set := trace.OPWaves(ckt, r.X)
-		return &Result{
-			Kind:    "dcop",
-			Signals: set.Names(),
-			OP:      &OPResult{Iterations: r.Iterations, Nodes: nodes},
-		}, set, nil
+		res.OP = &OPResult{Iterations: out.OP.Iterations, Nodes: nodes}
 	case "em":
-		opt := sde.Options{RecordCurrents: true, Ctx: j.ctx, Solver: ss.factory}
-		if a := firstAnalysis(deck, "em"); a != nil {
-			opt.TStop, opt.Steps, opt.Seed = a.TStop, a.Steps, a.Seed
-		}
-		if j.req.TStop > 0 {
-			opt.TStop = j.req.TStop
-		}
-		if j.req.Seed != nil {
-			opt.Seed = *j.req.Seed
-		}
-		r, err := sde.Transient(ckt, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Result{
-			Kind:    "em",
-			Signals: r.Waves.Names(),
-			EM: &EMResult{
-				Steps:        opt.Steps,
-				NoiseSources: r.NoiseSources,
-				Seed:         opt.Seed,
-				Final:        finals(r.Waves),
-			},
-		}, r.Waves, nil
-	case "set":
-		a := firstAnalysis(deck, "settran")
-		opt := setsim.Options{
-			TStep: a.TStep, TStop: a.TStop, Temp: a.Temp, Seed: a.Seed,
-			Ctx: j.ctx, Solver: ss.factory,
-		}
-		if j.req.TStop > 0 {
-			opt.TStop = j.req.TStop
-		}
-		if j.req.TStep > 0 {
-			opt.TStep = j.req.TStep
-		}
-		if j.req.Seed != nil {
-			opt.Seed = *j.req.Seed
-		}
-		r, err := setsim.Transient(ckt, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Result{
-			Kind:    "set",
-			Signals: r.Waves.Names(),
-			Set: &SETJobResult{
-				Events:    r.Events,
-				EnvSolves: r.EnvSolves,
-				Temp:      r.Temp,
-				Seed:      opt.Seed,
-				Final:     finals(r.Waves),
-			},
-		}, r.Waves, nil
-	}
-	return nil, nil, fmt.Errorf("serve: unreachable analysis kind %q", j.kind)
-}
-
-// batchJob builds the per-trial analysis for mc/step jobs from the
-// deck's cards, mirroring the CLI's precedence: the .mc keyword, else
-// the first .tran, else .em, else .op.
-func (j *job) batchJob(deck *netparse.Deck) (vary.Job, error) {
-	kind := ""
-	if j.kind == "mc" && deck.MC != nil {
-		kind = deck.MC.Analysis
-	}
-	tran, em := firstAnalysis(deck, "tran"), firstAnalysis(deck, "em")
-	set := firstAnalysis(deck, "settran")
-	if kind == "" {
-		switch {
-		case tran != nil:
-			kind = "tran"
-		case em != nil:
-			kind = "em"
-		case set != nil:
-			kind = "set"
-		default:
-			kind = "op"
-		}
-	}
-	vj := vary.Job{Analysis: kind}
-	switch kind {
-	case "tran":
-		if tran == nil {
-			return vj, fmt.Errorf(".mc tran needs a .tran card")
-		}
-		vj.Tran = core.Options{TStop: tran.TStop, HInit: tran.TStep, RecordCurrents: true, Partition: j.popt, Workers: j.threads()}
-		if j.req.TStop > 0 {
-			vj.Tran.TStop = j.req.TStop
-		}
-		if j.req.TStep > 0 {
-			vj.Tran.HInit = j.req.TStep
-		}
-	case "em":
-		if em == nil {
-			return vj, fmt.Errorf(".mc em needs a .em card")
-		}
-		vj.EM = sde.Options{TStop: em.TStop, Steps: em.Steps, Seed: em.Seed}
-		if j.req.TStop > 0 {
-			vj.EM.TStop = j.req.TStop
+		res.EM = &EMResult{
+			Steps: spec.EM.Steps, NoiseSources: out.EM.NoiseSources, Seed: spec.EM.Seed,
+			Final: finals(out.Waves),
 		}
 	case "set":
-		if set == nil {
-			return vj, fmt.Errorf(".mc set needs a '.set tran' card")
-		}
-		vj.SET = setsim.Options{TStep: set.TStep, TStop: set.TStop, Temp: set.Temp, Seed: set.Seed}
-		if j.req.TStop > 0 {
-			vj.SET.TStop = j.req.TStop
-		}
-		if j.req.TStep > 0 {
-			vj.SET.TStep = j.req.TStep
+		res.Set = &SETJobResult{
+			Events: out.SET.Events, EnvSolves: out.SET.EnvSolves, Temp: out.SET.Temp, Seed: spec.SET.Seed,
+			Final: finals(out.Waves),
 		}
 	}
-	return vj, nil
+	return res, out.Waves, nil
 }
 
-// mcOptions resolves the deck's Monte Carlo cards plus request overrides
-// into the batch options shared by the full-run, shard and coordinator
-// paths.
-func (j *job) mcOptions(deck *netparse.Deck) (vary.Options, error) {
-	vj, err := j.batchJob(deck)
-	if err != nil {
-		return vary.Options{}, err
-	}
-	opt := vary.Options{
-		Job:     vj,
-		Signals: append([]string(nil), deck.Prints...),
-		Workers: 1,
-		Ctx:     j.ctx,
-	}
-	if deck.MC != nil {
-		opt.Trials = deck.MC.Trials
-		opt.Seed = deck.MC.Seed
-	}
-	if j.req.Trials > 0 {
-		opt.Trials = j.req.Trials
-	}
-	if j.req.Seed != nil {
-		opt.Seed = *j.req.Seed
-	}
-	if j.req.Workers > 0 {
-		opt.Workers = j.req.Workers
-	}
-	for _, v := range deck.Varies {
-		dist, err := vary.ParseDist(v.Dist)
-		if err != nil {
-			return vary.Options{}, fmt.Errorf("netlist line %d: %w", v.Line, err)
-		}
-		opt.Specs = append(opt.Specs, vary.Spec{
-			Elem: v.Elem, Param: v.Param, Dist: dist,
-			Sigma: v.Sigma, Rel: v.Rel, Lot: v.Lot,
-		})
-	}
-	for _, l := range deck.Limits {
-		opt.Limits = append(opt.Limits, vary.Limit{Signal: l.Signal, Stat: l.Stat, Lo: l.Lo, Hi: l.Hi})
-	}
-	return opt, nil
+// mcOptions is the deck's Monte Carlo batch under the request's
+// overrides, shared by the full-run, shard and coordinator paths.
+func (j *job) mcOptions() (vary.Options, error) {
+	opt, err := j.plan.MC()
+	opt.Ctx = j.ctx
+	return opt, err
 }
 
 // mcResult converts a finished batch into the wire result and envelope
@@ -562,8 +271,9 @@ func mcResult(r *vary.Result, hasLimits bool) (*Result, *wave.Set, error) {
 // runMC executes the deck's Monte Carlo cards; the stream payload is the
 // envelope set (mean and quantile bands per signal). A shard request runs
 // only its trial range and returns the mergeable aggregate instead.
-func (j *job) runMC(deck *netparse.Deck) (*Result, *wave.Set, error) {
-	opt, err := j.mcOptions(deck)
+func (j *job) runMC() (*Result, *wave.Set, error) {
+	deck := j.entry.deck
+	opt, err := j.mcOptions()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -583,26 +293,13 @@ func (j *job) runMC(deck *netparse.Deck) (*Result, *wave.Set, error) {
 }
 
 // runStep executes the deck's .step sweep.
-func (j *job) runStep(deck *netparse.Deck) (*Result, *wave.Set, error) {
-	vj, err := j.batchJob(deck)
+func (j *job) runStep() (*Result, *wave.Set, error) {
+	opt, err := j.plan.Step()
 	if err != nil {
 		return nil, nil, err
 	}
-	opt := vary.SweepOptions{
-		Job:     vj,
-		Signals: append([]string(nil), deck.Prints...),
-		Workers: 1,
-		Ctx:     j.ctx,
-	}
-	if j.req.Workers > 0 {
-		opt.Workers = j.req.Workers
-	}
-	for _, s := range deck.Steps {
-		opt.Axes = append(opt.Axes, vary.SweepAxis{
-			Elem: s.Elem, Param: s.Param, From: s.From, To: s.To, Points: s.Points, Log: s.Log,
-		})
-	}
-	r, err := vary.Sweep(deck.Circuit, opt)
+	opt.Ctx = j.ctx
+	r, err := vary.Sweep(j.entry.deck.Circuit, opt)
 	if err != nil {
 		return nil, nil, err
 	}

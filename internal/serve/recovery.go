@@ -142,12 +142,7 @@ func (s *Server) requeue(rec *store.Record, info JobInfo, req SubmitRequest) {
 		fail(entry.err)
 		return
 	}
-	kind, err := resolveAnalysis(entry.deck, req)
-	if err != nil {
-		fail(err)
-		return
-	}
-	popt, err := resolvePartition(entry.deck, req)
+	kind, plan, err := resolve(entry.deck, req)
 	if err != nil {
 		fail(err)
 		return
@@ -159,7 +154,7 @@ func (s *Server) requeue(rec *store.Record, info JobInfo, req SubmitRequest) {
 		fail(errors.New("job queue full"))
 		return
 	}
-	j := s.newJob(rec.ID, rec.Key, "", req, entry, kind, popt)
+	j := s.newJob(rec.ID, rec.Key, "", req, entry, kind, plan)
 	j.info.Submitted = info.Submitted
 	j.info.CacheHit = info.CacheHit
 	j.info.Requeued = true

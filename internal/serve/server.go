@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"nanosim/internal/faultpoint"
-	"nanosim/internal/part"
+	"nanosim/internal/pipeline"
 	"nanosim/internal/serve/store"
 	"nanosim/internal/trace"
 	"nanosim/internal/wave"
@@ -692,17 +692,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "deck does not parse: %v", entry.err)
 		return
 	}
-	kind, err := resolveAnalysis(entry.deck, req)
+	kind, plan, err := resolve(entry.deck, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	popt, err := resolvePartition(entry.deck, req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := jobKey(entry.hash, kind, req, popt)
+	key := jobKey(entry.hash, kind, req, plan.Partition())
 
 	// The deck text is only needed for the cache key, the (now done)
 	// parse and the durable deck save; retained job records must not pin
@@ -750,7 +745,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
-	j := s.newJob(id, key, client, req, entry, kind, popt)
+	j := s.newJob(id, key, client, req, entry, kind, plan)
 	j.info.CacheHit = hit
 	if s.coordinated(kind, &req) {
 		// The coordinator re-submits the source verbatim to its replicas,
@@ -792,7 +787,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // newJob builds a queued job record (caller holds s.mu).
-func (s *Server) newJob(id, key, client string, req SubmitRequest, entry *deckEntry, kind string, popt *part.Options) *job {
+func (s *Server) newJob(id, key, client string, req SubmitRequest, entry *deckEntry, kind string, plan *pipeline.Plan) *job {
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	if s.cfg.JobTimeout > 0 {
 		// The deadline context is the child, so a user cancel (or
@@ -811,7 +806,7 @@ func (s *Server) newJob(id, key, client string, req SubmitRequest, entry *deckEn
 		req:    req,
 		entry:  entry,
 		kind:   kind,
-		popt:   popt,
+		plan:   plan,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),

@@ -200,7 +200,7 @@ func MonteCarlo(ckt *circuit.Circuit, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	job, err := opt.Job.withDefaults()
+	job, err := jobDefaults(opt.Job)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +214,7 @@ func MonteCarlo(ckt *circuit.Circuit, opt Options) (*Result, error) {
 	}
 	// Nominal probe: learns signal names and the envelope time domain,
 	// and doubles as the reference run reported alongside the envelopes.
-	nominal, err := job.run(opt.Ctx, ckt.Clone(), opt.Solver, job.baseSeed())
+	nominal, err := runJob(opt.Ctx, job, ckt.Clone(), opt.Solver, baseSeed(job))
 	if err != nil {
 		return nil, fmt.Errorf("vary: nominal run failed: %w", err)
 	}
@@ -510,7 +510,7 @@ func Sweep(ckt *circuit.Circuit, opt SweepOptions) (*SweepResult, error) {
 	if len(opt.Axes) == 0 {
 		return nil, fmt.Errorf("vary: Sweep needs at least one axis")
 	}
-	job, err := opt.Job.withDefaults()
+	job, err := jobDefaults(opt.Job)
 	if err != nil {
 		return nil, err
 	}
@@ -541,7 +541,7 @@ func Sweep(ckt *circuit.Circuit, opt SweepOptions) (*SweepResult, error) {
 		runs *= a.Points
 	}
 
-	nominal, err := job.run(opt.Ctx, ckt.Clone(), opt.Solver, job.baseSeed())
+	nominal, err := runJob(opt.Ctx, job, ckt.Clone(), opt.Solver, baseSeed(job))
 	if err != nil {
 		return nil, fmt.Errorf("vary: nominal run failed: %w", err)
 	}
@@ -579,7 +579,7 @@ func Sweep(ckt *circuit.Circuit, opt SweepOptions) (*SweepResult, error) {
 					return 0, err
 				}
 			}
-			return job.baseSeed(), nil
+			return baseSeed(job), nil
 		}}
 	}
 	outs, solve := runBatch(batchConfig{

@@ -8,42 +8,31 @@ import (
 	"strings"
 	"sync"
 
+	"nanosim/internal/analysis"
 	"nanosim/internal/circuit"
 	"nanosim/internal/core"
 	"nanosim/internal/flop"
 	"nanosim/internal/linsolve"
 	"nanosim/internal/randx"
-	"nanosim/internal/sde"
-	"nanosim/internal/setsim"
 	"nanosim/internal/trace"
 	"nanosim/internal/wave"
 )
 
-// Job selects the analysis every trial runs.
-type Job struct {
-	// Analysis is "tran" (SWEC transient, the default), "op" (SWEC DC
-	// operating point), "em" (one Euler-Maruyama path per trial,
-	// combining parameter and input uncertainty) or "set" (one
-	// single-electron kinetic Monte Carlo transient per trial).
-	Analysis string
-	// Tran configures the "tran" analysis. Its Solver and Ctx fields are
-	// ignored: the runner supplies the per-worker reusing factory and
-	// threads the batch context (Options.Ctx) in.
-	Tran core.Options
-	// OP configures the "op" analysis (Solver and Ctx likewise ignored).
-	OP core.DCOptions
-	// EM configures the "em" analysis. Solver, Seed and Ctx are ignored:
-	// the per-trial seed derives from the batch seed and the trial index.
-	EM sde.Options
-	// SET configures the "set" analysis. Solver, Seed and Ctx are
-	// ignored, exactly as for "em": trial t tunnels with the seed drawn
-	// from randx.Split(batch seed, t), so the batch is bit-identical at
-	// any worker count.
-	SET setsim.Options
-}
+// Job selects the analysis every trial runs: "tran" (SWEC transient,
+// the default), "op" (SWEC DC operating point), "em" (one
+// Euler-Maruyama path per trial, combining parameter and input
+// uncertainty) or "set" (one single-electron kinetic Monte Carlo
+// transient per trial). A trial runs it through analysis.Run, exactly
+// as a single run of the same options. The options' Solver and Ctx are
+// ignored: the runner supplies the per-worker reusing factory and
+// threads the batch context (Options.Ctx) in. For "em" and "set" the
+// per-trial seed replaces the options' Seed: trial t draws from
+// randx.Split(batch seed, t), so the batch is bit-identical at any
+// worker count.
+type Job = analysis.Job
 
-// withDefaults normalizes the analysis keyword.
-func (j Job) withDefaults() (Job, error) {
+// jobDefaults normalizes the analysis keyword.
+func jobDefaults(j Job) (Job, error) {
 	switch strings.ToLower(j.Analysis) {
 	case "", "tran":
 		j.Analysis = "tran"
@@ -61,57 +50,20 @@ func (j Job) withDefaults() (Job, error) {
 
 // baseSeed is the nominal-run seed of the job's stochastic engine (the
 // value per-trial seeds replace).
-func (j Job) baseSeed() uint64 {
+func baseSeed(j Job) uint64 {
 	if j.Analysis == "set" {
 		return j.SET.Seed
 	}
 	return j.EM.Seed
 }
 
-// run executes the job on ckt with the given solver factory. ctx, when
-// non-nil, cancels the underlying analysis mid-run. emSeed replaces the
-// engine seed for "em" and "set" jobs and is ignored otherwise.
-func (j Job) run(ctx context.Context, ckt *circuit.Circuit, solver linsolve.Factory, emSeed uint64) (*wave.Set, error) {
-	switch j.Analysis {
-	case "op":
-		o := j.OP
-		o.Solver = solver
-		o.Ctx = ctx
-		res, err := core.OperatingPoint(ckt, o)
-		if err != nil {
-			return nil, err
-		}
-		return trace.OPWaves(ckt, res.X), nil
-	case "em":
-		o := j.EM
-		o.Solver = solver
-		o.Seed = emSeed
-		o.Ctx = ctx
-		res, err := sde.Transient(ckt, o)
-		if err != nil {
-			return nil, err
-		}
-		return res.Waves, nil
-	case "set":
-		o := j.SET
-		o.Solver = solver
-		o.Seed = emSeed
-		o.Ctx = ctx
-		res, err := setsim.Transient(ckt, o)
-		if err != nil {
-			return nil, err
-		}
-		return res.Waves, nil
-	default:
-		o := j.Tran
-		o.Solver = solver
-		o.Ctx = ctx
-		res, err := core.Transient(ckt, o)
-		if err != nil {
-			return nil, err
-		}
-		return res.Waves, nil
-	}
+// runJob executes the job on ckt with the given solver factory. ctx,
+// when non-nil, cancels the underlying analysis mid-run. emSeed replaces
+// the engine seed for "em" and "set" jobs and is ignored otherwise.
+func runJob(ctx context.Context, j Job, ckt *circuit.Circuit, solver linsolve.Factory, emSeed uint64) (*wave.Set, error) {
+	j.EM.Seed, j.SET.Seed = emSeed, emSeed
+	out, err := analysis.Run(ckt, analysis.Spec{Job: j, Ctx: ctx, Solver: solver})
+	return out.Waves, err
 }
 
 // worker owns one goroutine's reusable solver state. The base circuit is
@@ -156,7 +108,7 @@ func (w *worker) solver(n int, fc *flop.Counter) linsolve.Solver {
 // reference no trial outcome can influence.
 func (w *worker) warm() {
 	w.beginRun()
-	if _, err := w.job.run(w.ctx, w.base.Clone(), w.solver, w.job.baseSeed()); err != nil {
+	if _, err := runJob(w.ctx, w.job, w.base.Clone(), w.solver, baseSeed(w.job)); err != nil {
 		// The nominal circuit was validated by the probe run; if it
 		// fails here, stop reusing state rather than guessing.
 		w.drop()
@@ -382,7 +334,7 @@ func runTrial(cfg batchConfig, w *worker, tr trialRun) trialOut {
 		return trialOut{err: fmt.Errorf("trial %d: %w", tr.index, err)}
 	}
 	w.beginRun()
-	waves, err := cfg.job.run(cfg.ctx, clone, w.solver, emSeed)
+	waves, err := runJob(cfg.ctx, cfg.job, clone, w.solver, emSeed)
 	if err != nil {
 		return trialOut{err: fmt.Errorf("trial %d: %w", tr.index, err)}
 	}

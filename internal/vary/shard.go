@@ -127,7 +127,7 @@ func MonteCarloShard(ckt *circuit.Circuit, opt Options, rng ShardRange) (*ShardR
 	if rng.Total != opt.Trials {
 		return nil, fmt.Errorf("vary: shard range %s does not match %d trials", rng, opt.Trials)
 	}
-	job, err := opt.Job.withDefaults()
+	job, err := jobDefaults(opt.Job)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func MonteCarloShard(ckt *circuit.Circuit, opt Options, rng ShardRange) (*ShardR
 	}
 	// The nominal probe is deterministic per (deck, job), so every shard
 	// derives the identical signal list and envelope grid.
-	nominal, err := job.run(opt.Ctx, ckt.Clone(), opt.Solver, job.baseSeed())
+	nominal, err := runJob(opt.Ctx, job, ckt.Clone(), opt.Solver, baseSeed(job))
 	if err != nil {
 		return nil, fmt.Errorf("vary: nominal run failed: %w", err)
 	}
@@ -246,11 +246,11 @@ func MergeShards(ckt *circuit.Circuit, opt Options, shards []*ShardResult) (*Res
 		return nil, fmt.Errorf("vary: shards cover only %d of %d trials", next, opt.Trials)
 	}
 
-	job, err := opt.Job.withDefaults()
+	job, err := jobDefaults(opt.Job)
 	if err != nil {
 		return nil, err
 	}
-	nominal, err := job.run(opt.Ctx, ckt.Clone(), opt.Solver, job.baseSeed())
+	nominal, err := runJob(opt.Ctx, job, ckt.Clone(), opt.Solver, baseSeed(job))
 	if err != nil {
 		return nil, fmt.Errorf("vary: nominal run failed: %w", err)
 	}
