@@ -149,13 +149,28 @@ func run(stdout io.Writer, path string, cfg config) error {
 	}
 
 	if wantMC || wantStep {
+		// Resolve every batch before any runs: a deck one of them
+		// cannot run fails before a result prints.
+		var stepOpt nanosim.ParamSweepOptions
+		var mcOpt nanosim.VaryOptions
+		wantMC = wantMC && !cfg.step
 		if wantStep {
-			if err := runStep(stdout, plan, deck); err != nil {
+			if stepOpt, err = plan.Step(); err != nil {
 				return err
 			}
 		}
-		if wantMC && !cfg.step {
-			if err := runMC(stdout, plan, deck, cfg); err != nil {
+		if wantMC {
+			if mcOpt, err = plan.MC(); err != nil {
+				return err
+			}
+		}
+		if wantStep {
+			if err := runStep(stdout, deck, stepOpt); err != nil {
+				return err
+			}
+		}
+		if wantMC {
+			if err := runMC(stdout, deck, mcOpt, cfg); err != nil {
 				return err
 			}
 		}
@@ -176,6 +191,11 @@ func run(stdout io.Writer, path string, cfg config) error {
 	}
 	if len(analyses) == 0 {
 		return fmt.Errorf("deck has no analysis cards (.op/.dc/.ac/.tran/.em/.set)")
+	}
+	for _, a := range analyses {
+		if err := plan.Runnable(a.Kind); err != nil {
+			return fmt.Errorf("%s %w", pipeline.Label(a.Kind), err)
+		}
 	}
 	var lastWaves *nanosim.WaveSet
 	for _, a := range analyses {
@@ -296,12 +316,8 @@ func writeCSV(stdout io.Writer, path string, waves *nanosim.WaveSet) error {
 	return nil
 }
 
-// runMC executes the deck's Monte Carlo cards.
-func runMC(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck, cfg config) error {
-	opt, err := plan.MC()
-	if err != nil {
-		return err
-	}
+// runMC executes the deck's Monte Carlo batch.
+func runMC(w io.Writer, deck *netparse.Deck, opt nanosim.VaryOptions, cfg config) error {
 	res, err := nanosim.Vary(deck.Circuit, opt)
 	if err != nil {
 		return fmt.Errorf(".mc: %w", err)
@@ -363,11 +379,7 @@ func runMC(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck, cfg config) er
 }
 
 // runStep executes the deck's .step sweep.
-func runStep(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck) error {
-	opt, err := plan.Step()
-	if err != nil {
-		return err
-	}
+func runStep(w io.Writer, deck *netparse.Deck, opt nanosim.ParamSweepOptions) error {
 	res, err := nanosim.ParamSweep(deck.Circuit, opt)
 	if err != nil {
 		return fmt.Errorf(".step: %w", err)

@@ -86,6 +86,31 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBeforeResults: a card or batch whose engine cannot
+// stamp the deck's tunnel junctions, and a .vary with an unknown DIST=,
+// fail the run before any result prints, even when a runnable card or
+// batch comes first.
+func TestRunRefusesBeforeResults(t *testing.T) {
+	const junctions = "* junctions\nVdd vdd 0 0.3\nRL vdd d 1meg\nJ1 d m tj\nJ2 m 0 tj\n.model tj TJ C=1a R=1meg\n.island m\n"
+	for _, c := range []struct{ name, deck, want string }{
+		{"set tran then op", junctions + ".set tran 0.2n 4n SEED=7\n.op\n.end\n",
+			".op cannot run on tunnel junction J1: only .set tran and .set map run"},
+		{"set step then op mc", junctions + ".set tran 0.2n 4n SEED=7\n.step RL 1meg 2meg 2\n.mc 4 op\n.vary RL DEV=5%\n.end\n",
+			"mc job with .op trials cannot run on tunnel junction J1"},
+		{"unknown dist", "* dist\nV1 in 0 1\nR1 in 0 1k\n.op\n.mc 4\n.vary R1 DEV=5% DIST=GAUSSIAN\n.end\n",
+			`netlist line 6: .vary unknown distribution "GAUSSIAN"`},
+	} {
+		var out strings.Builder
+		err := run(&out, writeDeck(t, c.deck), testCfg(config{}))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		if strings.Contains(out.String(), "==") {
+			t.Errorf("%s: results printed before the refusal:\n%s", c.name, out.String())
+		}
+	}
+}
+
 func TestRunWithPlots(t *testing.T) {
 	// Plot path writes to stdout; just confirm it does not error.
 	path := writeDeck(t, testDeck)

@@ -247,9 +247,9 @@ func AC(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		}
 	}
 
-	// Sweep the grid — across workers when Workers > 1, with the batched
-	// multi-RHS kernels either way (see sweep.go) — then emit the series
-	// serially in point order from the per-point solutions.
+	// Sweep the grid — across workers when Workers > 1 (see sweep.go) —
+	// then emit the series serially in point order from the per-point
+	// solutions.
 	if err := sw.run(opt.Workers, &res.Stats); err != nil {
 		return nil, err
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // rtdAmp is a biased RTD divider with an AC excitation — a nonlinear
-// linearization point, no noise sources, so the sweep exercises the
-// lane-batched frequency groups.
+// linearization point, no noise sources, so every point is one
+// refactor and one solve.
 func rtdAmp() *circuit.Circuit {
 	ckt := circuit.New("rtd amp")
 	vs, _ := ckt.AddVSource("V1", "in", "0", device.DC(0.5))
@@ -23,7 +23,7 @@ func rtdAmp() *circuit.Circuit {
 }
 
 // noisyAmp adds two NOISE= current sources so the sweep exercises the
-// multi-RHS noise-column path instead of the point lanes.
+// multi-RHS noise-column path.
 func noisyAmp() *circuit.Circuit {
 	ckt := noisyDivider()
 	is, _ := ckt.AddISource("IN2", "0", "mid", device.DC(0))
@@ -46,9 +46,11 @@ func noisyDivider() *circuit.Circuit {
 }
 
 // TestACParallelDeterministic is the AC leg of the multi-core
-// determinism battery: on three decks covering the lane-batched,
-// noise-column and plain-linear paths, the sweep must be bit-identical
-// at every worker count and across repeat runs.
+// determinism battery: on three decks covering a noise-free nonlinear
+// linearization, the noise-column multi-RHS path and a plain linear
+// deck, the sweep must be bit-identical at every worker count and
+// across repeat runs. The config names are stable test IDs: "rtd-lanes"
+// is the noise-free RTD deck.
 func TestACParallelDeterministic(t *testing.T) {
 	decks := []struct {
 		name string

@@ -1,6 +1,6 @@
 package acan
 
-// Parallel frequency sweep with batched multi-RHS kernels.
+// Parallel frequency sweep.
 //
 // Frequency points are independent given the linearization, but the
 // sparse complex solver is not history-free: every numeric refactor
@@ -22,12 +22,10 @@ package acan
 // its own matrix and point 0's — bit-identical at any worker count and
 // to the pre-parallel serial sweep.
 //
-// On top of that protocol the sweep consumes the batched kernels:
-// noise-free decks group up to acLaneWidth consecutive points into one
-// lockstep multi-refactor (linsolve.SparseComplexMulti), and decks with
-// noise sources solve all noise columns of a point as one multi-RHS
-// call. Both are per-lane bit-identical to the scalar path and fall
-// back to it on drift, so they change throughput only.
+// Every point goes through acWorker.point, one refactor and one solve.
+// Decks with noise sources then solve all noise columns of the point
+// as one multi-RHS call (linsolve.ComplexMultiRHS), which is
+// bit-identical per column to the scalar solve loop it replaces.
 
 import (
 	"fmt"
@@ -37,10 +35,6 @@ import (
 	"nanosim/internal/linsolve"
 	"nanosim/internal/stamp"
 )
-
-// acLaneWidth bounds how many frequency points one lockstep batch
-// refactors together.
-const acLaneWidth = 8
 
 // sweeper is the read-only sweep plan shared by all workers plus the
 // disjointly-written result arrays.
@@ -83,9 +77,8 @@ func newSweeper(sys *stamp.System, opt *Options, ttG []float64, fets []fetSmallS
 	return s
 }
 
-// assembleInto stamps G + jωC plus the small-signal device stamps — the
-// one assembly both the scalar solvers and the batch lanes consume, so
-// the recorded stamp sequence is identical everywhere.
+// assembleInto stamps G + jωC plus the small-signal device stamps, in
+// the one stamp order every point records.
 func (s *sweeper) assembleInto(a stamp.CAdder, omega float64) {
 	s.sys.StampACLinear(a, omega)
 	for i := 0; i < s.nNodes; i++ {
@@ -146,17 +139,14 @@ func (s *sweeper) run(workers int, st *Stats) error {
 	return nil
 }
 
-// acWorker owns one solver (plus batch scratch) and a contiguous chunk.
+// acWorker owns one solver (plus its scratch) and a contiguous chunk.
 type acWorker struct {
-	s       *sweeper
-	sol     linsolve.ComplexSolver
-	warmed  bool
-	rewarm  bool // a drift replaced the pivot order; re-warm before the next point
-	noLanes bool // backend refused the batch wrapper; stop retrying
+	s      *sweeper
+	sol    linsolve.ComplexSolver
+	rewarm bool // a drift replaced the pivot order; re-warm before the next point
 
 	x       []complex128 // dim solve target
 	scratch []complex128 // warm-up solve target
-	bm, xm  []complex128 // lane-batched RHS/solution, dim*acLaneWidth
 	nx      []complex128 // noise multi-RHS solutions, dim*len(cols)
 	acc     []float64    // per-node Σ 2σ²|H|²
 
@@ -195,7 +185,7 @@ func (w *acWorker) ensure(p int) bool {
 		w.collectSolveStats()
 	}
 	w.sol = s.opt.Solver(s.dim, s.opt.FC)
-	w.rewarm, w.warmed = false, false
+	w.rewarm = false
 	if w.scratch == nil {
 		w.scratch = make([]complex128, s.dim)
 		w.x = make([]complex128, s.dim)
@@ -206,7 +196,6 @@ func (w *acWorker) ensure(p int) bool {
 		s.errs[p] = fmt.Errorf("acan: singular AC system at %g Hz: %w", s.freqs[0], err)
 		return false
 	}
-	w.warmed = true
 	return true
 }
 
@@ -215,29 +204,20 @@ func (w *acWorker) ensure(p int) bool {
 // point order afterwards.
 func (w *acWorker) runChunk(lo, hi int) {
 	s := w.s
-	for p := lo; p < hi; {
+	for p := lo; p < hi; p++ {
 		if err := ctxErr(s.opt.Ctx); err != nil {
 			s.errs[p] = fmt.Errorf("acan: sweep canceled at %g Hz: %w", s.freqs[p], err)
 			return
 		}
-		if !w.ensure(p) {
+		if !w.ensure(p) || !w.point(p) {
 			return
 		}
-		if k := min(acLaneWidth, hi-p); k >= 2 && len(s.cols) == 0 && w.tryGroup(p, k) {
-			p += k
-			continue
-		}
-		if !w.point(p) {
-			return
-		}
-		p++
 	}
 }
 
-// point serves one frequency point through the scalar path: numeric
-// refactor under the canonical order, full factorization of its own
-// matrix on drift (flagging the rewarm), then the AC solve and the
-// noise columns.
+// point serves one frequency point: numeric refactor under the
+// canonical order, full factorization of its own matrix on drift
+// (flagging the rewarm), then the AC solve and the noise columns.
 func (w *acWorker) point(p int) bool {
 	s := w.s
 	omega := 2 * math.Pi * s.freqs[p]
@@ -256,49 +236,6 @@ func (w *acWorker) point(p int) bool {
 	if len(s.cols) > 0 {
 		return w.noisePoint(p)
 	}
-	return true
-}
-
-// tryGroup serves k consecutive points as one lockstep batch: every
-// lane assembles its own G + jωC, one multi-refactor replays the
-// canonical pivot order across all lanes, and each lane solves the
-// shared excitation. Any refusal (non-sparse backend, lane drift, stale
-// wrapper) falls back to the scalar path, which re-serves the same
-// points with exact error attribution.
-func (w *acWorker) tryGroup(p, k int) bool {
-	if w.noLanes {
-		return false
-	}
-	s := w.s
-	m, ok := linsolve.NewSparseComplexMulti(w.sol, k)
-	if !ok {
-		w.noLanes = true
-		return false
-	}
-	m.Begin()
-	for c := 0; c < k; c++ {
-		s.assembleInto(m.LaneAdder(c), 2*math.Pi*s.freqs[p+c])
-	}
-	if m.Mismatched() {
-		w.noLanes = true // the assembly never matches the recorded sequence; stop paying for retries
-		return false
-	}
-	if err := m.Refactor(); err != nil {
-		return false
-	}
-	if w.bm == nil {
-		w.bm = make([]complex128, s.dim*acLaneWidth)
-		w.xm = make([]complex128, s.dim*acLaneWidth)
-	}
-	for c := 0; c < k; c++ {
-		copy(w.bm[c*s.dim:(c+1)*s.dim], s.bAC)
-	}
-	m.SolveEach(w.bm[:k*s.dim], w.xm[:k*s.dim])
-	for c := 0; c < k; c++ {
-		copy(s.xs[(p+c)*s.nNodes:(p+c+1)*s.nNodes], w.xm[c*s.dim:c*s.dim+s.nNodes])
-	}
-	w.solves += int64(k)
-	w.solveStats.Accumulate(m.SolveStats())
 	return true
 }
 
@@ -324,9 +261,9 @@ func (w *acWorker) noisePoint(p int) bool {
 		}
 		w.solves += int64(k)
 		for c := 0; c < k; c++ {
-			lane := w.nx[c*s.dim:]
+			col := w.nx[c*s.dim:]
 			for row := 0; row < s.nNodes; row++ {
-				re, im := real(lane[row]), imag(lane[row])
+				re, im := real(col[row]), imag(col[row])
 				w.acc[row] += 2 * (re*re + im*im)
 			}
 		}

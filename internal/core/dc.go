@@ -88,9 +88,7 @@ func newDCSolver(sys *stamp.System, opt DCOptions) *dcSolver {
 
 // assembleDCG stamps G(x) — linear conductances, the Gmin leak and the
 // SWEC equivalent conductances evaluated at state x — into a. Device
-// evaluations are charged to fc/stats; the batched operating point
-// (dc_batch.go) passes nil/scratch for frozen lanes so converged lanes
-// keep their matrices factorable without inflating any trial's counters.
+// evaluations are charged to fc/stats.
 func assembleDCG(sys *stamp.System, a stamp.Adder, x []float64, gmin float64, fc *flop.Counter, stats *Stats) {
 	sys.StampLinearG(a)
 	for i := 0; i < sys.NodeCount(); i++ {

@@ -1,212 +1,30 @@
 package linsolve
 
-import (
-	"errors"
-	"fmt"
+// This file is the multi-RHS face of the linsolve package, wrapping
+// the spmat multi-RHS kernel (spmat/lu_multi.go) in the Solver state
+// machine: ComplexMultiRHS is a backend capability — solve k
+// right-hand sides against ONE assembled matrix and factorization. The
+// complex sparse backend implements it; consumers (the AC noise
+// columns) type-assert and fall back to a scalar Solve loop when the
+// backend does not.
 
-	"nanosim/internal/spmat"
-)
-
-// This file is the batched face of the linsolve package, wrapping the
-// spmat multi-RHS kernels (spmat/lu_multi.go) in the Solver state
-// machine:
-//
-//   - MultiRHS / ComplexMultiRHS: a backend capability — solve k
-//     right-hand sides against ONE assembled matrix and factorization.
-//     The sparse backends implement it; consumers type-assert and fall
-//     back to a scalar Solve loop when the backend does not.
-//
-//   - SparseMultiOf: lockstep assembly and numeric factorization of k
-//     same-pattern systems (AC frequency lanes, Monte-Carlo
-//     operating-point lanes) against a compiled base solver. The base
-//     solver donates its recorded stamp sequence, compiled pattern and
-//     pivot order but is never mutated — a failed batch cannot corrupt
-//     the base's warm state, which is what makes the serial fallback
-//     (and therefore bit-identical results at any lane count) cheap to
-//     guarantee.
-
-// MultiRHS is implemented by real-valued backends that can solve several
-// right-hand sides against one factorization. b and x are column-major
-// with RHS c occupying [c*n, (c+1)*n); lane c's result is bit-identical
-// to a scalar Solve of the same vector.
-type MultiRHS interface {
-	SolveMulti(b, x []float64, k int) error
-}
-
-// ComplexMultiRHS is the complex-valued counterpart of MultiRHS.
+// ComplexMultiRHS is implemented by complex backends that can solve
+// several right-hand sides against one factorization. b and x are
+// column-major with RHS c occupying [c*n, (c+1)*n); RHS c's result is
+// bit-identical to a scalar Solve of the same vector.
 type ComplexMultiRHS interface {
 	SolveMulti(b, x []complex128, k int) error
 }
 
 // SolveMulti solves k right-hand sides against the currently assembled
 // matrix, factoring (or refactoring) it exactly as Solve would first.
+// spmat implements the multi-RHS kernel for complex128 only: the real
+// backend's instance of this method panics, and no interface names its
+// signature.
 func (s *sparseOf[T]) SolveMulti(b, x []T, k int) error {
 	if err := s.ensureFactored(); err != nil {
 		return err
 	}
 	s.lu.SolveMulti(b, x, k, s.fc)
 	return nil
-}
-
-// ErrMultiStale reports that the base solver's compiled pattern or
-// factorization changed (pattern rebuild, pivot-drift full factor) after
-// the batch wrapper was built; the caller must construct a fresh one.
-var ErrMultiStale = errors.New("linsolve: base solver re-factored since the batch wrapper was built; rebuild it")
-
-// errMultiMismatch reports a lane assembly that diverged from the base
-// solver's recorded stamp sequence.
-var errMultiMismatch = errors.New("linsolve: lane stamp sequence diverged from the base solver's")
-
-// SparseMultiOf assembles and numerically factors k same-pattern systems
-// in lockstep. Build one from a warmed sparse solver (compiled pattern +
-// prepared factorization), then per batch: Begin, stamp every lane
-// through LaneAdder (the same Add sequence the base recorded), Refactor,
-// SolveEach. Lane c's solution is bit-identical to assembling lane c's
-// values into the base solver and calling Solve — as long as Refactor
-// reports no pivot drift, in which case the caller redoes the batch
-// through the scalar path lane by lane.
-type SparseMultiOf[T spmat.Scalar] struct {
-	base *sparseOf[T]
-	pat  *spmat.PatternOf[T] // base state snapshot for staleness checks
-	lu   *spmat.LUOf[T]
-
-	k        int
-	mp       *spmat.MultiPatternOf[T]
-	bf       *spmat.BatchLUOf[T]
-	cursors  []int
-	mismatch bool
-	stats    SolveStats
-}
-
-// SparseRealMulti batches the real-valued sparse backend (MC lanes).
-type SparseRealMulti = SparseMultiOf[float64]
-
-// SparseComplexMulti batches the complex sparse backend (AC lanes).
-type SparseComplexMulti = SparseMultiOf[complex128]
-
-// NewSparseMulti builds a k-lane batch wrapper over a warmed real sparse
-// solver. Returns (nil, false) when the base is not the sparse backend
-// or has not compiled+factored yet (callers then keep the scalar path).
-func NewSparseMulti(base Solver, lanes int) (*SparseRealMulti, bool) {
-	s, ok := base.(*sparseOf[float64])
-	if !ok {
-		return nil, false
-	}
-	return newSparseMultiOf(s, lanes)
-}
-
-// NewSparseComplexMulti builds a k-lane batch wrapper over a warmed
-// complex sparse solver; see NewSparseMulti.
-func NewSparseComplexMulti(base ComplexSolver, lanes int) (*SparseComplexMulti, bool) {
-	s, ok := base.(*sparseOf[complex128])
-	if !ok {
-		return nil, false
-	}
-	return newSparseMultiOf(s, lanes)
-}
-
-func newSparseMultiOf[T spmat.Scalar](s *sparseOf[T], lanes int) (*SparseMultiOf[T], bool) {
-	if lanes <= 0 || s.pat == nil || s.lu == nil {
-		return nil, false
-	}
-	bf, err := spmat.NewBatchLU(s.lu, lanes)
-	if err != nil {
-		return nil, false
-	}
-	return &SparseMultiOf[T]{
-		base:    s,
-		pat:     s.pat,
-		lu:      s.lu,
-		k:       lanes,
-		mp:      spmat.NewMultiPattern(s.pat, lanes),
-		bf:      bf,
-		cursors: make([]int, lanes),
-	}, true
-}
-
-// Lanes returns the lane count k.
-func (m *SparseMultiOf[T]) Lanes() int { return m.k }
-
-// N returns the system dimension.
-func (m *SparseMultiOf[T]) N() int { return m.base.n }
-
-// Begin starts a new batch: all lane values cleared, all lane cursors
-// rewound.
-func (m *SparseMultiOf[T]) Begin() {
-	m.mp.Zero()
-	for i := range m.cursors {
-		m.cursors[i] = 0
-	}
-	m.mismatch = false
-}
-
-// MultiLane stamps one lane of a SparseMultiOf; it satisfies the same
-// structural Add interface the scalar solvers expose, so existing stamp
-// code drives it unchanged.
-type MultiLane[T spmat.Scalar] struct {
-	m    *SparseMultiOf[T]
-	lane int
-}
-
-// LaneAdder returns the stamping adapter for lane l. Every Add is
-// verified positionally against the base solver's recorded sequence; a
-// divergence marks the whole batch mismatched (checked by Refactor) —
-// lanes must be structurally identical to the base circuit.
-func (m *SparseMultiOf[T]) LaneAdder(l int) MultiLane[T] {
-	return MultiLane[T]{m: m, lane: l}
-}
-
-// Add accumulates v into A[i][j] of this lane.
-func (a MultiLane[T]) Add(i, j int, v T) {
-	m := a.m
-	cur := m.cursors[a.lane]
-	if cur >= len(m.base.seq) || m.base.seq[cur] != spmat.Key(i, j) {
-		m.mismatch = true
-		return
-	}
-	m.mp.AddSlot(m.base.slots[cur], a.lane, v)
-	m.cursors[a.lane] = cur + 1
-}
-
-// Mismatched reports whether any lane's stamp sequence diverged from the
-// base solver's since Begin.
-func (m *SparseMultiOf[T]) Mismatched() bool { return m.mismatch }
-
-// Refactor numerically factors every lane against the shared pivot
-// order. Returns spmat.ErrPivotDrift/ErrSingular when any lane cannot
-// reuse the order (redo the batch through the scalar path), an
-// ErrMultiStale when the base solver re-factored underneath us, and a
-// mismatch error when a lane's assembly diverged.
-func (m *SparseMultiOf[T]) Refactor() error {
-	if m.mismatch {
-		return errMultiMismatch
-	}
-	if m.base.pat != m.pat || m.base.lu != m.lu {
-		return ErrMultiStale
-	}
-	for l, cur := range m.cursors {
-		if cur != len(m.base.seq) {
-			return fmt.Errorf("%w (lane %d stamped %d of %d entries)", errMultiMismatch, l, cur, len(m.base.seq))
-		}
-	}
-	if err := m.bf.RefactorNumericMulti(m.mp, m.base.fc); err != nil {
-		return err
-	}
-	// Counted on the wrapper, not the base: the base solver is strictly
-	// read-only here (several wrappers may share one warm base across
-	// goroutines), and the scalar path would have counted one numeric
-	// refactor per lane.
-	m.stats.NumericRefactor += m.k
-	return nil
-}
-
-// SolveStats reports the batch wrapper's own factorization accounting
-// (one NumericRefactor per lane per successful Refactor). The base
-// solver's stats are not touched by batch operations.
-func (m *SparseMultiOf[T]) SolveStats() SolveStats { return m.stats }
-
-// SolveEach solves lane c's system against lane c's factors from the
-// last Refactor. b and x are column-major with lane c at [c*n, (c+1)*n).
-func (m *SparseMultiOf[T]) SolveEach(b, x []T) {
-	m.bf.SolveEach(b, x, m.base.fc)
 }

@@ -1,30 +1,24 @@
 package linsolve
 
 import (
-	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-// adder is the structural stamping interface shared by Solver and
-// MultiLane.
-type adder interface {
-	Add(i, j int, v float64)
-}
-
-// stampLadderInto assembles the conductance ladder the solver benches
-// use: g[i] couples node i to i+1, every node leaks to ground.
-func stampLadderInto(a adder, g []float64) {
+// stampLadderC assembles an RC-ladder-shaped complex system the way an
+// AC point does: g[i] couples node i to i+1, every node leaks to ground
+// through a conductance and a capacitive susceptance.
+func stampLadderC(s ComplexSolver, g []float64, omegaC float64) {
+	s.Reset()
 	n := len(g) + 1
 	for i := 0; i < n; i++ {
-		a.Add(i, i, 1e-4)
+		s.Add(i, i, complex(1e-4, omegaC))
 	}
 	for i, gi := range g {
-		a.Add(i, i, gi)
-		a.Add(i+1, i+1, gi)
-		a.Add(i, i+1, -gi)
-		a.Add(i+1, i, -gi)
+		s.Add(i, i, complex(gi, 0))
+		s.Add(i+1, i+1, complex(gi, 0))
+		s.Add(i, i+1, complex(-gi, 0))
+		s.Add(i+1, i, complex(-gi, 0))
 	}
 }
 
@@ -36,240 +30,73 @@ func ladderG(rng *rand.Rand, n int) []float64 {
 	return g
 }
 
-// warmSparse returns a compiled+factored sparse solver for the ladder.
-func warmSparse(t testing.TB, g []float64) Solver {
+// warmSparseC returns a compiled+factored complex sparse solver for the
+// ladder and k random column-major right-hand sides.
+func warmSparseC(t testing.TB, rng *rand.Rand, n, k int) (ComplexSolver, []complex128) {
 	t.Helper()
-	n := len(g) + 1
-	s := NewSparse(n, nil)
-	stampLadderInto(s, g)
-	b := make([]float64, n)
-	b[0] = 1
-	x := make([]float64, n)
-	if err := s.Solve(b, x); err != nil {
+	s := NewSparseComplex(n, nil)
+	stampLadderC(s, ladderG(rng, n), 1e-5)
+	b := make([]complex128, n*k)
+	for i := range b {
+		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	x := make([]complex128, n)
+	if err := s.Solve(b[:n], x); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, b
 }
 
-// TestSolveMultiBackendBitIdenticalDeterministic locks the MultiRHS
-// backend capability to the scalar Solve on the same factorization.
+// TestSolveMultiBackendBitIdenticalDeterministic locks the
+// ComplexMultiRHS backend capability to the scalar Solve on the same
+// factorization.
 func TestSolveMultiBackendBitIdenticalDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 40
-	g := ladderG(rng, n)
-	s := warmSparse(t, g)
-	mr, ok := s.(MultiRHS)
+	n, k := 40, 5
+	s, b := warmSparseC(t, rng, n, k)
+	mr, ok := s.(ComplexMultiRHS)
 	if !ok {
-		t.Fatal("sparse backend does not implement MultiRHS")
+		t.Fatal("complex sparse backend does not implement ComplexMultiRHS")
 	}
-	k := 5
-	b := make([]float64, n*k)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n*k)
+	x := make([]complex128, n*k)
 	if err := mr.SolveMulti(b, x, k); err != nil {
 		t.Fatal(err)
 	}
-	xc := make([]float64, n)
+	xc := make([]complex128, n)
 	for c := 0; c < k; c++ {
 		if err := s.Solve(b[c*n:(c+1)*n], xc); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
 			if x[c*n+i] != xc[i] {
-				t.Fatalf("lane %d row %d: %v != scalar %v", c, i, x[c*n+i], xc[i])
+				t.Fatalf("rhs %d row %d: %v != scalar %v", c, i, x[c*n+i], xc[i])
 			}
 		}
 	}
 }
 
-// TestSparseMultiLanesBitIdenticalDeterministic drives the lockstep
-// batch wrapper through assemble→Refactor→SolveEach and checks every
-// lane bitwise against the scalar restamp+Solve path on the base.
-func TestSparseMultiLanesBitIdenticalDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 40
+// TestSolveMultiBackendZeroAlloc asserts the noise-column cycle of an AC
+// point, restamp then SolveMulti, allocates nothing once the solver is
+// warm and its multi-RHS scratch has grown.
+func TestSolveMultiBackendZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n, k := 60, 8
+	s, b := warmSparseC(t, rng, n, k)
+	mr := s.(ComplexMultiRHS)
 	g := ladderG(rng, n)
-	s := warmSparse(t, g)
-	k := 4
-	m, ok := NewSparseMulti(s, k)
-	if !ok {
-		t.Fatal("NewSparseMulti refused a warmed sparse solver")
-	}
-	// Lane c perturbs every conductance by a lane-specific factor.
-	laneG := make([][]float64, k)
-	for c := range laneG {
-		gc := make([]float64, len(g))
-		for i := range gc {
-			gc[i] = g[i] * (1 + 0.05*rng.NormFloat64())
-		}
-		laneG[c] = gc
-	}
-	b := make([]float64, n*k)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n*k)
-	for cycle := 0; cycle < 3; cycle++ {
-		m.Begin()
-		for c := 0; c < k; c++ {
-			stampLadderInto(m.LaneAdder(c), laneG[c])
-		}
-		if m.Mismatched() {
-			t.Fatal("lane assembly mismatched")
-		}
-		if err := m.Refactor(); err != nil {
-			t.Fatal(err)
-		}
-		m.SolveEach(b, x)
-		xc := make([]float64, n)
-		for c := 0; c < k; c++ {
-			s.Reset()
-			stampLadderInto(s, laneG[c])
-			if err := s.Solve(b[c*n:(c+1)*n], xc); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if x[c*n+i] != xc[i] {
-					t.Fatalf("cycle %d lane %d row %d: %v != scalar %v",
-						cycle, c, i, x[c*n+i], xc[i])
-				}
-			}
-		}
-	}
-	if got := m.SolveStats().NumericRefactor; got != 3*k {
-		t.Errorf("wrapper NumericRefactor = %d, want %d", got, 3*k)
-	}
-}
-
-// TestSparseMultiMismatchAndStale verifies the two guard rails: a lane
-// stamped in a diverging order refuses to refactor, and a base solver
-// that re-compiled its pattern invalidates the wrapper.
-func TestSparseMultiMismatchAndStale(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 12
-	g := ladderG(rng, n)
-	s := warmSparse(t, g)
-	m, ok := NewSparseMulti(s, 2)
-	if !ok {
-		t.Fatal("NewSparseMulti refused a warmed sparse solver")
-	}
-	m.Begin()
-	m.LaneAdder(0).Add(n-1, n-1, 1) // not the recorded first stamp
-	if !m.Mismatched() {
-		t.Error("diverging lane stamp not flagged")
-	}
-	if err := m.Refactor(); err == nil {
-		t.Error("Refactor succeeded on a mismatched batch")
-	}
-
-	// Stamp a different structure into the base: pattern decompiles and
-	// recompiles, so the wrapper must refuse with ErrMultiStale.
-	s.Reset()
-	s.Add(0, n-1, 1e-3)
-	stampLadderInto(s, g)
-	b := make([]float64, n)
-	x := make([]float64, n)
-	b[0] = 1
-	if err := s.Solve(b, x); err != nil {
+	x := make([]complex128, n*k)
+	if err := mr.SolveMulti(b, x, k); err != nil {
 		t.Fatal(err)
 	}
-	m.Begin()
-	stampLadderInto(m.LaneAdder(0), g)
-	stampLadderInto(m.LaneAdder(1), g)
-	err := m.Refactor()
-	if !errors.Is(err, ErrMultiStale) && err == nil {
-		t.Errorf("Refactor on stale wrapper returned %v, want ErrMultiStale or mismatch", err)
-	}
-}
-
-// TestMultiRHSHammerDeterministic is the -race hammer for the batched
-// kernels: many goroutines share ONE warm base solver read-only, each
-// owning a private batch wrapper and RHS storage, concurrently running
-// assemble→Refactor→SolveEach cycles. Results must be bit-stable across
-// iterations and goroutines.
-func TestMultiRHSHammerDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := 30
-	g := ladderG(rng, n)
-	s := warmSparse(t, g)
-	const workers = 8
-	const iters = 25
-	k := 3
-
-	// Shared deterministic inputs, computed up front.
-	laneG := make([][]float64, k)
-	for c := range laneG {
-		gc := make([]float64, len(g))
-		for i := range gc {
-			gc[i] = g[i] * (1 + 0.03*rng.NormFloat64())
-		}
-		laneG[c] = gc
-	}
-	b := make([]float64, n*k)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-
-	// Serial reference through a private wrapper.
-	ref := make([]float64, n*k)
-	{
-		m, ok := NewSparseMulti(s, k)
-		if !ok {
-			t.Fatal("NewSparseMulti refused a warmed sparse solver")
-		}
-		m.Begin()
-		for c := 0; c < k; c++ {
-			stampLadderInto(m.LaneAdder(c), laneG[c])
-		}
-		if err := m.Refactor(); err != nil {
+	omegaC := 1e-5
+	allocs := testing.AllocsPerRun(50, func() {
+		omegaC *= 1.01
+		stampLadderC(s, g, omegaC)
+		if err := mr.SolveMulti(b, x, k); err != nil {
 			t.Fatal(err)
 		}
-		m.SolveEach(b, ref)
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m, ok := NewSparseMulti(s, k)
-			if !ok {
-				errs[w] = errors.New("NewSparseMulti refused shared base")
-				return
-			}
-			x := make([]float64, n*k)
-			for it := 0; it < iters; it++ {
-				m.Begin()
-				for c := 0; c < k; c++ {
-					stampLadderInto(m.LaneAdder(c), laneG[c])
-				}
-				if err := m.Refactor(); err != nil {
-					errs[w] = err
-					return
-				}
-				m.SolveEach(b, x)
-				for i := range x {
-					if x[i] != ref[i] {
-						errs[w] = errors.New("worker result diverged from serial reference")
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Errorf("worker %d: %v", w, err)
-		}
-	}
-
-	// The hammer must not have perturbed the base's warm state.
-	st := s.(Refactorable).SolveStats()
-	if st.PatternRebuild != 0 {
-		t.Errorf("base solver pattern rebuilt %d times during hammer", st.PatternRebuild)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state restamp+SolveMulti allocates %.1f times, want 0", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nanosim/internal/randx"
 	"nanosim/internal/units"
 )
 
@@ -290,6 +291,9 @@ func parseVary(fields []string, line int) (VaryCard, error) {
 			haveTol = true
 		case strings.HasPrefix(up, "DIST="):
 			card.Dist = up[len("DIST="):]
+			if _, err := randx.ParseDist(card.Dist); err != nil {
+				return VaryCard{}, errf(line, ".vary %v", err)
+			}
 		default:
 			return VaryCard{}, errf(line, "unknown .vary keyword %q", f)
 		}

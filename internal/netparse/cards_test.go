@@ -97,6 +97,7 @@ func TestParseVariationCardErrors(t *testing.T) {
 		{".vary R1 DEV=5% LOT=2%", "exactly one"},
 		{".vary R1 DIST=GAUSS", "needs a DEV= or LOT="},
 		{".vary R1 DEV=-5%", "negative tolerance"},
+		{".vary R1 DEV=5% DIST=GAUSSIAN", `unknown distribution "GAUSSIAN"`},
 		{".limit v(out) final 1", ".limit needs"},
 		{".limit v(out) median 0 1", "bad .limit stat"},
 		{".limit v(out) final 2 1", "out of order"},

@@ -84,7 +84,8 @@ type VaryCard struct {
 	// Lot selects one shared draw across matches (LOT=) instead of
 	// independent per-element draws (DEV=).
 	Lot bool
-	// Dist is the DIST= keyword ("", "GAUSS", "UNIFORM", "LOGNORMAL").
+	// Dist is the DIST= keyword as written, upper-cased: "" or a name
+	// randx.ParseDist accepts (the parser rejects any other).
 	Dist string
 	// Line is the source line for diagnostics.
 	Line int

@@ -19,6 +19,7 @@ import (
 
 	"nanosim/internal/acan"
 	"nanosim/internal/analysis"
+	"nanosim/internal/circuit"
 	"nanosim/internal/core"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
@@ -29,16 +30,21 @@ import (
 
 // kinds lists every single-run analysis once: the deck card kind
 // (netparse.Analysis.Kind), the engine kind (analysis.Spec.Analysis),
-// nanosimd's name for it ("" where the service does not run it) and
-// the card as written.
-var kinds = []struct{ card, spec, wire, label string }{
-	{"op", "op", "dcop", ".op"},
-	{"dc", "dc", "dc", ".dc"},
-	{"ac", "ac", "ac", ".ac"},
-	{"tran", "tran", "tran", ".tran"},
-	{"em", "em", "em", ".em"},
-	{"settran", "set", "set", ".set tran"},
-	{"setmap", "setmap", "", ".set map"},
+// nanosimd's name for it ("" where the service does not run it), the
+// card as written, and whether its engine stamps single-electron
+// elements (islands and tunnel junctions). Only the SET engines do;
+// the MNA engines stamp every other element and refuse those.
+var kinds = []struct {
+	card, spec, wire, label string
+	set                     bool
+}{
+	{"op", "op", "dcop", ".op", false},
+	{"dc", "dc", "dc", ".dc", false},
+	{"ac", "ac", "ac", ".ac", false},
+	{"tran", "tran", "tran", ".tran", false},
+	{"em", "em", "em", ".em", false},
+	{"settran", "set", "set", ".set tran", true},
+	{"setmap", "setmap", "", ".set map", true},
 }
 
 // Label returns a deck card kind as the card is written (".set tran").
@@ -49,6 +55,35 @@ func Label(card string) string {
 		}
 	}
 	return "." + card
+}
+
+// Runnable checks that the engine of a deck card kind can stamp every
+// element of the deck: a deck with islands or tunnel junctions runs
+// only on the kinds whose engine stamps them.
+func (p *Plan) Runnable(card string) error {
+	var setLabels []string
+	for _, k := range kinds {
+		if k.card == card && k.set {
+			return nil
+		}
+		if k.set {
+			setLabels = append(setLabels, k.label)
+		}
+	}
+	for _, e := range p.deck.Circuit.Elements() {
+		what := ""
+		switch e.(type) {
+		case *circuit.TunnelJunction:
+			what = "tunnel junction"
+		case *circuit.Island:
+			what = "island"
+		default:
+			continue
+		}
+		return fmt.Errorf("cannot run on %s %s: only %s run on islands and tunnel junctions",
+			what, e.Name(), strings.Join(setLabels, " and "))
+	}
+	return nil
 }
 
 // Overrides are one surface's changes to what the deck's cards say;
@@ -198,6 +233,9 @@ func (p *Plan) Kind(requested string) (string, error) {
 			// A card-less tran or em runs on a tstop override alone.
 			return "", fmt.Errorf("%s job needs a %s card or a tstop override", kind, k.label)
 		}
+		if err := p.Runnable(k.card); err != nil {
+			return "", fmt.Errorf("%s job %w", kind, err)
+		}
 		return kind, nil
 	}
 	return "", fmt.Errorf("unknown analysis %q (want tran, dc, dcop/op, ac, em, set, mc or step)", requested)
@@ -281,6 +319,13 @@ func (p *Plan) batchJob(mc bool) (vary.Job, error) {
 			return vary.Job{}, fmt.Errorf(".mc %s needs a %s card", keyword, Label(card))
 		}
 		a = &netparse.Analysis{Kind: card}
+	}
+	if err := p.Runnable(card); err != nil {
+		batch := "step"
+		if mc {
+			batch = "mc"
+		}
+		return vary.Job{}, fmt.Errorf("%s job with %s trials %w", batch, Label(card), err)
 	}
 	// A seed override reseeds the batch; trials draw their own.
 	return p.card(*a, nil).Job, nil

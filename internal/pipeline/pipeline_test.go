@@ -75,3 +75,40 @@ func TestOverridesScope(t *testing.T) {
 		t.Error("gcouple 2 accepted")
 	}
 }
+
+// TestRunnableRefusesJunctions: only the single-electron kinds run on a
+// deck with tunnel junctions; every other kind, and a batch whose
+// trials run one, is refused when the plan resolves it.
+func TestRunnableRefusesJunctions(t *testing.T) {
+	const deck = `* junctions
+Vdd vdd 0 0.3
+RL vdd d 1meg
+J1 d m tj
+J2 m 0 tj
+.model tj TJ C=1a R=1meg
+.island m
+.tran 0.2n 4n
+.set tran 0.2n 4n
+.vary RL DEV=5%
+.mc 4 op
+.end
+`
+	p := plan(t, deck, Overrides{})
+	for _, kind := range []string{"dcop", "tran", ""} {
+		if _, err := p.Kind(kind); err == nil || !strings.Contains(err.Error(), "tunnel junction J1") {
+			t.Errorf("Kind(%q): %v, want a refusal naming J1", kind, err)
+		}
+	}
+	if kind, err := p.Kind("set"); kind != "set" || err != nil {
+		t.Errorf("Kind(set) = %q, %v", kind, err)
+	}
+	if _, err := p.MC(); err == nil || !strings.Contains(err.Error(), "mc job with .op trials") {
+		t.Errorf("MC() with op trials: %v", err)
+	}
+	if err := p.Runnable("setmap"); err != nil {
+		t.Errorf("Runnable(setmap): %v", err)
+	}
+	if err := plan(t, deckSrc, Overrides{}).Runnable("op"); err != nil {
+		t.Errorf("Runnable(op) without junctions: %v", err)
+	}
+}

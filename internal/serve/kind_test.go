@@ -11,7 +11,8 @@ import (
 )
 
 // setMapThenTranDeck opens with a '.set map' card, which the service
-// does not run; inference must read past it to the .tran.
+// does not run; inference reads past it to the .tran, which cannot run
+// on the deck's tunnel junctions, so the submission is refused.
 const setMapThenTranDeck = `* set map before tran
 Vg g 0 0
 Vd d 0 1m
@@ -28,9 +29,11 @@ Cg g m 1a
 // TestSubmitInfersKindFromEveryCard pins the kind a submission without
 // an analysis resolves to: the .mc batch, else the .step sweep, else the
 // first card in deck order that the service runs. A deck with no such
-// card is refused with a message naming the cards it has.
+// card is refused with a message naming the cards it has; a deck whose
+// inferred kind cannot stamp its junctions is refused naming the
+// junction and the kinds that run on it.
 func TestSubmitInfersKindFromEveryCard(t *testing.T) {
-	want := map[string]string{ // deck -> inferred kind ("" = refused)
+	want := map[string]string{ // deck -> inferred kind ("" = refused, "J1" = refused for the junction)
 		"ac_rc_filter.sp":        "ac",
 		"fet_rtd_inverter.sp":    "dcop",
 		"mc_rtd_inverter.sp":     "mc",
@@ -41,7 +44,7 @@ func TestSubmitInfersKindFromEveryCard(t *testing.T) {
 		"set_double_junction.sp": "set",
 		"set_transistor.sp":      "",
 		"step_rtd_divider.sp":    "step",
-		"set-map-then-tran":      "tran",
+		"set-map-then-tran":      "J1",
 	}
 	decks := map[string]string{"set-map-then-tran": setMapThenTranDeck}
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.sp"))
@@ -82,6 +85,10 @@ func TestSubmitInfersKindFromEveryCard(t *testing.T) {
 		case kind == "":
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, ".set map") || !strings.Contains(e.Error, "does not run") {
 				t.Errorf("%s: HTTP %d %q, want 400 naming the .set map card the service does not run", name, resp.StatusCode, e.Error)
+			}
+		case kind == "J1":
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "tunnel junction J1") || !strings.Contains(e.Error, ".set tran and .set map") {
+				t.Errorf("%s: HTTP %d %q, want 400 naming junction J1 and the kinds that run on it", name, resp.StatusCode, e.Error)
 			}
 		case resp.StatusCode != http.StatusAccepted || info.Analysis != kind:
 			t.Errorf("%s: HTTP %d, kind %q (%s), want %q", name, resp.StatusCode, info.Analysis, e.Error, kind)

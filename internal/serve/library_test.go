@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"nanosim"
+	"nanosim/internal/circuit"
 	"nanosim/internal/netparse"
 	"nanosim/internal/trace"
 )
@@ -55,7 +57,8 @@ CD d 0 10f
 
 // servedKinds lists every kind the service runs on a deck: dcop always,
 // each single-run card kind it has, mc with .vary cards, step with .step
-// cards.
+// cards. A deck with islands or tunnel junctions runs only on the
+// single-electron engine: set, and a batch whose trials run '.set tran'.
 func servedKinds(deck *netparse.Deck) []string {
 	kinds := []string{"dcop"}
 	wire := map[string]string{"tran": "tran", "dc": "dc", "ac": "ac", "em": "em", "settran": "set"}
@@ -70,7 +73,36 @@ func servedKinds(deck *netparse.Deck) []string {
 	if len(deck.Steps) > 0 {
 		kinds = append(kinds, "step")
 	}
-	return kinds
+	if !hasSETElements(deck) {
+		return kinds
+	}
+	mcKeyword := ""
+	if deck.MC != nil {
+		mcKeyword = deck.MC.Analysis
+	}
+	return slices.DeleteFunc(kinds, func(k string) bool {
+		switch k {
+		case "set":
+			return false
+		case "mc":
+			return batchJob(deck, mcKeyword).Analysis != "set"
+		case "step":
+			return batchJob(deck, "").Analysis != "set"
+		}
+		return true
+	})
+}
+
+// hasSETElements reports whether a deck has an island or a tunnel
+// junction, which no MNA engine stamps.
+func hasSETElements(deck *netparse.Deck) bool {
+	for _, e := range deck.Circuit.Elements() {
+		switch e.(type) {
+		case *circuit.Island, *circuit.TunnelJunction:
+			return true
+		}
+	}
+	return false
 }
 
 // firstCard returns the deck's first card of a kind, or nil.
@@ -290,6 +322,13 @@ func requireSameMap(t *testing.T, label, what string, got, want map[string]float
 // bit-identical to the library call with the documented options, and so
 // is the result's final map (node map for dcop, final table for step,
 // quantiles for mc). Where the library fails, the job must fail too.
+//
+// It also checks that bad input never reaches an engine: every deck,
+// plus two the service once queued and then failed (a junction deck
+// with a .tran card, a .vary with an unknown DIST=), is submitted as
+// every kind, and a kind the deck cannot run must be refused with a 4xx
+// at submit. A job that fails must not fail on an element its engine
+// cannot stamp or on an unknown distribution.
 func TestServeMatchesLibraryDeterministic(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.sp"))
 	if err != nil || len(paths) == 0 {
@@ -305,23 +344,44 @@ func TestServeMatchesLibraryDeterministic(t *testing.T) {
 		decks[filepath.Base(p)] = string(src)
 		names = append(names, filepath.Base(p))
 	}
+	for _, bad := range []struct{ name, from, old, new string }{
+		{"junction-tran", "set_double_junction.sp", ".end\n", ".tran 0.2n 40n\n.end\n"},
+		{"mc-gaussian", "mc_rtd_inverter.sp", "DEV=5%", "DEV=5% DIST=GAUSSIAN"},
+	} {
+		src := strings.Replace(decks[bad.from], bad.old, bad.new, 1)
+		if src == decks[bad.from] {
+			t.Fatalf("%s: %s has no %q to edit", bad.name, bad.from, bad.old)
+		}
+		decks[bad.name] = src
+		names = append(names, bad.name)
+	}
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, name := range names {
 		src := decks[name]
-		deck, err := netparse.Parse(src)
-		if err != nil {
-			t.Fatal(err)
+		var served []string
+		if deck, err := netparse.Parse(src); err == nil {
+			served = servedKinds(deck)
 		}
-		for _, kind := range servedKinds(deck) {
+		for _, kind := range []string{"dcop", "dc", "ac", "tran", "em", "set", "mc", "step"} {
 			label := name + "/" + kind
+			if !slices.Contains(served, kind) {
+				if code, _, _ := submitFull(t, ts, SubmitRequest{Deck: src, Analysis: kind}, nil); code < 400 || code >= 500 {
+					t.Fatalf("%s: HTTP %d, want a 4xx: the deck cannot run this kind", label, code)
+				}
+				continue
+			}
 			want, libErr := runLibrary(t, src, kind)
 			info := submit(t, ts, SubmitRequest{Deck: src, Analysis: kind}, http.StatusAccepted)
 			if info.Analysis != kind {
 				t.Fatalf("%s: resolved %q", label, info.Analysis)
 			}
 			if libErr != nil {
-				if done := waitFinished(t, ts, info.ID); done.State != StateFailed {
+				done := waitFinished(t, ts, info.ID)
+				if done.State != StateFailed {
 					t.Fatalf("%s: library fails (%v), job ended %s", label, libErr, done.State)
+				}
+				if strings.Contains(done.Error, "unsupported element") || strings.Contains(done.Error, "unknown distribution") {
+					t.Fatalf("%s: job reached an engine with input submit should refuse: %s", label, done.Error)
 				}
 				continue
 			}

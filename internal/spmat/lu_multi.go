@@ -1,183 +1,34 @@
 package spmat
 
 import (
-	"errors"
 	"fmt"
 
 	"nanosim/internal/flop"
 )
 
-// This file is the batched (multi-RHS / multi-value) face of the sparse
-// LU. Two independent axes are covered:
+// This file is the multi-RHS face of the sparse LU: ONE factorization,
+// k right-hand sides. Its consumer is the AC noise analysis, which
+// solves every noise source's injection column against one frequency
+// point's factorization. RHS vectors are column-major (vector c
+// occupies b[c*n:(c+1)*n]) while the internal scratch interleaves the
+// right-hand sides (yM[i*k+c]) so the structural walk over L/U touches
+// each row's index data once per k vectors.
 //
-//   - LUOf.SolveMulti: ONE factorization, k right-hand sides — the AC
-//     noise-column solves and any other "same matrix, many vectors"
-//     consumer. RHS vectors are column-major (vector c occupies
-//     b[c*n:(c+1)*n]) while the internal scratch interleaves lanes
-//     (yM[i*k+c]) so the structural walk over L/U touches each row's
-//     index data once per k lanes.
-//
-//   - MultiPatternOf + BatchLUOf: ONE symbolic pattern and pivot order,
-//     k numeric matrices — RefactorNumericMulti redoes k numeric
-//     factorizations in a single structural pass and SolveEach then
-//     solves lane c's system against lane c's factors. This is the AC
-//     frequency-lane and Monte-Carlo operating-point consumer: the
-//     matrices differ only in values, so the min-degree analysis, fill
-//     structure and elimination schedule are shared and the value
-//     arrays are simply k lanes wide.
-//
-// Determinism contract: for every lane c the sequence of floating-point
-// operations is IDENTICAL to the scalar kernel run on that lane alone
-// (same order, same skip conditions), so batched results are
-// bit-identical to k scalar calls. The determinism suites in
-// internal/acan and internal/vary lean on this; do not reorder lane
-// arithmetic for speed without updating them.
-
-// MultiPatternOf holds the values of k matrices that share one compiled
-// pattern's structure. Values are lane-major: slot s of lane c lives at
-// vals[s*k + c], so a structural slot's k values are adjacent.
-type MultiPatternOf[T Scalar] struct {
-	p    *PatternOf[T] // structure donor; the donor's own values are not read
-	k    int
-	vals []T
-}
-
-// NewMultiPattern widens a compiled pattern's structure to k value lanes.
-func NewMultiPattern[T Scalar](p *PatternOf[T], k int) *MultiPatternOf[T] {
-	if k <= 0 {
-		panic(fmt.Sprintf("spmat: NewMultiPattern with %d lanes", k))
-	}
-	return &MultiPatternOf[T]{p: p, k: k, vals: make([]T, len(p.vals)*k)}
-}
-
-// Lanes returns the lane count k.
-func (mp *MultiPatternOf[T]) Lanes() int { return mp.k }
-
-// Zero clears every lane's values, keeping the shared structure.
-func (mp *MultiPatternOf[T]) Zero() {
-	for i := range mp.vals {
-		mp.vals[i] = 0
-	}
-}
-
-// AddSlot accumulates v into compiled slot `slot` of lane `lane`. Slot
-// indices are the ones CompilePatternOf returned for the donor pattern.
-func (mp *MultiPatternOf[T]) AddSlot(slot int32, lane int, v T) {
-	mp.vals[int(slot)*mp.k+lane] += v
-}
-
-// BatchLUOf carries k numeric factorizations that share one LUOf's
-// symbolic program (pivot order, fill structure, elimination schedule).
-// The value arrays mirror the donor's lRows/uRows/uDiag but are k lanes
-// wide and flattened: entry i of step m lives at
-// lVals[(lOff[m]+i)*k + lane]. The donor's own numeric content is never
-// read or written — a batch refactorization cannot corrupt the scalar
-// solver it was derived from.
-type BatchLUOf[T Scalar] struct {
-	f *LUOf[T]
-	k int
-
-	lOff  []int32
-	uOff  []int32
-	lVals []T
-	uVals []T
-	uDiag []T // uDiag[step*k + lane]
-
-	work []T // dense scatter rows for refactor, interleaved [col*k+lane]
-	yM   []T // SolveEach forward scratch, interleaved [row*k+lane]
-	zM   []T // SolveEach backward scratch, interleaved [step*k+lane]
-
-	multRow   []T       // per-lane multipliers of the current step
-	pivRow    []T       // per-lane pivots of the current step
-	rowMaxRow []float64 // per-lane row maxima for the drift check
-}
-
-// NewBatchLU widens a prepared factorization (PrepareReuse must have
-// run) to k numeric lanes. The donor provides the symbolic program only;
-// its numeric content is left untouched.
-func NewBatchLU[T Scalar](f *LUOf[T], k int) (*BatchLUOf[T], error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("spmat: NewBatchLU with %d lanes", k)
-	}
-	if f.rowSteps == nil {
-		return nil, errors.New("spmat: NewBatchLU before PrepareReuse")
-	}
-	f.materialize()
-	bf := &BatchLUOf[T]{f: f, k: k}
-	n := f.n
-	bf.lOff = make([]int32, n)
-	bf.uOff = make([]int32, n)
-	lTot, uTot := 0, 0
-	for m := 0; m < n; m++ {
-		bf.lOff[m] = int32(lTot)
-		bf.uOff[m] = int32(uTot)
-		lTot += len(f.lRows[m])
-		uTot += len(f.uRows[m])
-	}
-	bf.lVals = make([]T, lTot*k)
-	bf.uVals = make([]T, uTot*k)
-	bf.uDiag = make([]T, n*k)
-	bf.work = make([]T, n*k)
-	bf.yM = make([]T, n*k)
-	bf.zM = make([]T, n*k)
-	bf.multRow = make([]T, k)
-	bf.pivRow = make([]T, k)
-	bf.rowMaxRow = make([]float64, k)
-	return bf, nil
-}
-
-// Lanes returns the lane count k.
-func (bf *BatchLUOf[T]) Lanes() int { return bf.k }
-
-// N returns the matrix dimension shared by all lanes.
-func (bf *BatchLUOf[T]) N() int { return bf.f.n }
-
-// RefactorNumericMulti redoes the numeric factorization of all k lanes
-// of mp in one pass over the shared symbolic program. Lane c's
-// arithmetic is bit-identical to f.RefactorNumeric on lane c's matrix
-// alone. Allocation-free after construction.
-//
-// On the first lane whose reused pivot fails (scanning elimination steps
-// in order, lanes in order within a step) the whole batch returns
-// ErrPivotDrift (or ErrSingular for an all-zero row) — callers fall back
-// to the scalar path per lane, which owns the full-factorization
-// recovery protocol.
-func (bf *BatchLUOf[T]) RefactorNumericMulti(mp *MultiPatternOf[T], fc *flop.Counter) error {
-	if mp.p.n != bf.f.n {
-		return errors.New("spmat: RefactorNumericMulti dimension mismatch")
-	}
-	if mp.k != bf.k {
-		return fmt.Errorf("spmat: RefactorNumericMulti lane mismatch (%d vs %d)", mp.k, bf.k)
-	}
-	switch b := any(bf).(type) {
-	case *BatchLUOf[float64]:
-		return refactorNumericMultiReal(b, any(mp).(*MultiPatternOf[float64]), fc)
-	default:
-		return refactorNumericMultiCplx(b.(*BatchLUOf[complex128]), any(mp).(*MultiPatternOf[complex128]), fc)
-	}
-}
-
-// SolveEach solves lane c's system A_c * x_c = b_c for every lane using
-// the lane's own factors from the last RefactorNumericMulti. b and x are
-// column-major with lane c occupying [c*n, (c+1)*n); they may not alias.
-// Bit-identical per lane to f.Solve with lane c's factors.
-func (bf *BatchLUOf[T]) SolveEach(b, x []T, fc *flop.Counter) {
-	if len(b) != bf.f.n*bf.k || len(x) != bf.f.n*bf.k {
-		panic("spmat: SolveEach dimension mismatch")
-	}
-	switch f := any(bf).(type) {
-	case *BatchLUOf[float64]:
-		batchSolveEachReal(f, any(b).([]float64), any(x).([]float64), fc)
-	default:
-		batchSolveEachCplx(f.(*BatchLUOf[complex128]), any(b).([]complex128), any(x).([]complex128), fc)
-	}
-}
+// Determinism contract: for every right-hand side c the sequence of
+// floating-point operations is IDENTICAL to the scalar Solve on that
+// vector alone (same order, same skip conditions), so multi-RHS
+// results are bit-identical to k scalar calls. The AC determinism
+// suite leans on this; do not reorder the per-RHS arithmetic for speed
+// without updating it.
 
 // SolveMulti solves A*x_c = b_c for k right-hand sides against this one
 // factorization. b and x are column-major with RHS c occupying
-// [c*n, (c+1)*n); they may not alias. Lane c's result is bit-identical
+// [c*n, (c+1)*n); they may not alias. RHS c's result is bit-identical
 // to Solve(b_c, x_c). Scratch grows to the largest k seen and is then
 // reused, so steady-state calls at a fixed k are allocation-free.
+//
+// Only complex128 factorizations implement it (the noise columns are
+// its one consumer); a float64 factorization panics.
 func (f *LUOf[T]) SolveMulti(b, x []T, k int, fc *flop.Counter) {
 	if k <= 0 {
 		panic(fmt.Sprintf("spmat: SolveMulti with %d right-hand sides", k))
@@ -185,16 +36,15 @@ func (f *LUOf[T]) SolveMulti(b, x []T, k int, fc *flop.Counter) {
 	if len(b) != f.n*k || len(x) != f.n*k {
 		panic("spmat: SolveMulti dimension mismatch")
 	}
+	ff, ok := any(f).(*LUOf[complex128])
+	if !ok {
+		panic("spmat: SolveMulti needs a complex128 factorization")
+	}
 	f.materialize()
 	if cap(f.yMul) < f.n*k {
 		f.yMul = make([]T, f.n*k)
 		f.zMul = make([]T, f.n*k)
 		f.sMul = make([]T, k)
 	}
-	switch ff := any(f).(type) {
-	case *LUOf[float64]:
-		solveMultiReal(ff, any(b).([]float64), any(x).([]float64), k, fc)
-	default:
-		solveMultiCplx(ff.(*LUOf[complex128]), any(b).([]complex128), any(x).([]complex128), k, fc)
-	}
+	solveMultiCplx(ff, any(b).([]complex128), any(x).([]complex128), k, fc)
 }

@@ -1,91 +1,14 @@
 package spmat
 
-import (
-	"math"
-	"math/cmplx"
+import "nanosim/internal/flop"
 
-	"nanosim/internal/flop"
-)
-
-// Concrete per-scalar bodies of the batched kernels (lu_multi.go), kept
-// as textual twins the same way lu_kernels.go keeps RefactorNumeric and
-// Solve concrete. The lane loops are the innermost loops so structural
-// index data (colIdx, rowSteps, lRows/uRows .j) is read once per k
-// lanes; every per-lane guard mirrors the scalar kernel's guard exactly
-// so lane c's floating-point sequence equals the scalar kernel's on
-// lane c alone. Any change here must be mirrored in its twin AND
-// checked against the scalar kernels for per-lane order.
-
-// solveMultiReal is the float64 SolveMulti body: one factorization,
-// k right-hand sides.
-func solveMultiReal(f *LUOf[float64], b, x []float64, k int, fc *flop.Counter) {
-	n := f.n
-	yM := f.yMul[:n*k]
-	zM := f.zMul[:n*k]
-	for c := 0; c < k; c++ {
-		bc := b[c*n : (c+1)*n]
-		for i := 0; i < n; i++ {
-			yM[i*k+c] = bc[i]
-		}
-	}
-	muls, adds, divs := 0, 0, 0
-	for m := 0; m < n; m++ {
-		yb := f.rowPerm[m] * k
-		l := f.lRows[m]
-		for i := range l {
-			ev := l[i].v
-			jb := l[i].j * k
-			for c := 0; c < k; c++ {
-				yk := yM[yb+c]
-				if yk == 0 {
-					continue
-				}
-				yM[jb+c] -= ev * yk
-				muls++
-				adds++
-			}
-		}
-	}
-	sRow := f.sMul[:k]
-	for m := n - 1; m >= 0; m-- {
-		yb := f.rowPerm[m] * k
-		for c := 0; c < k; c++ {
-			sRow[c] = yM[yb+c]
-		}
-		u := f.uRows[m]
-		for i := range u {
-			ev := u[i].v
-			zb := f.invColPerm[u[i].j] * k
-			for c := 0; c < k; c++ {
-				sRow[c] -= ev * zM[zb+c]
-			}
-			muls += k
-			adds += k
-		}
-		d := f.uDiag[m]
-		zb := m * k
-		for c := 0; c < k; c++ {
-			zM[zb+c] = sRow[c] / d
-		}
-		divs += k
-	}
-	for m := 0; m < n; m++ {
-		cp := f.colPerm[m]
-		zb := m * k
-		for c := 0; c < k; c++ {
-			x[c*n+cp] = zM[zb+c]
-		}
-	}
-	fc.Mul(muls)
-	fc.Add(adds)
-	fc.Div(divs)
-	for c := 0; c < k; c++ {
-		fc.Solve()
-	}
-}
-
-// solveMultiCplx is the complex128 SolveMulti body — keep in lockstep
-// with solveMultiReal.
+// solveMultiCplx is the SolveMulti body: one factorization, k
+// right-hand sides. The right-hand-side loops are the innermost loops,
+// so structural index data (lRows/uRows .j, rowPerm, invColPerm) is
+// read once per k vectors; the forward pass's zero skip is taken per
+// right-hand side exactly as solveCplx takes it, so RHS c's
+// floating-point sequence equals solveCplx's on b_c alone. Any change
+// here must be checked against solveCplx for per-RHS order.
 func solveMultiCplx(f *LUOf[complex128], b, x []complex128, k int, fc *flop.Counter) {
 	n := f.n
 	yM := f.yMul[:n*k]
@@ -134,324 +57,6 @@ func solveMultiCplx(f *LUOf[complex128], b, x []complex128, k int, fc *flop.Coun
 		zb := m * k
 		for c := 0; c < k; c++ {
 			zM[zb+c] = sRow[c] / d
-		}
-		divs += k
-	}
-	for m := 0; m < n; m++ {
-		cp := f.colPerm[m]
-		zb := m * k
-		for c := 0; c < k; c++ {
-			x[c*n+cp] = zM[zb+c]
-		}
-	}
-	fc.Mul(muls)
-	fc.Add(adds)
-	fc.Div(divs)
-	for c := 0; c < k; c++ {
-		fc.Solve()
-	}
-}
-
-// refactorNumericMultiReal is the float64 RefactorNumericMulti body:
-// one symbolic program, k numeric matrices.
-func refactorNumericMultiReal(bf *BatchLUOf[float64], mp *MultiPatternOf[float64], fc *flop.Counter) error {
-	f := bf.f
-	p := mp.p
-	k := bf.k
-	n := f.n
-	w := bf.work
-	mult := bf.multRow
-	piv := bf.pivRow
-	rowMax := bf.rowMaxRow
-	muls, adds, divs := 0, 0, 0
-	for step := 0; step < n; step++ {
-		r := f.rowPerm[step]
-		for idx := p.rowPtr[r]; idx < p.rowPtr[r+1]; idx++ {
-			wb := int(p.colIdx[idx]) * k
-			vb := int(idx) * k
-			for c := 0; c < k; c++ {
-				w[wb+c] = mp.vals[vb+c]
-			}
-		}
-		for _, sr := range f.rowSteps[r] {
-			m := int(sr.step)
-			wb := f.colPerm[m] * k
-			db := m * k
-			lb := (int(bf.lOff[m]) + int(sr.slot)) * k
-			for c := 0; c < k; c++ {
-				mult[c] = w[wb+c] / bf.uDiag[db+c]
-				w[wb+c] = 0
-				bf.lVals[lb+c] = mult[c]
-			}
-			divs += k
-			u := f.uRows[m]
-			ub := int(bf.uOff[m])
-			for i := range u {
-				jb := u[i].j * k
-				vb := (ub + i) * k
-				for c := 0; c < k; c++ {
-					if mult[c] != 0 {
-						w[jb+c] -= mult[c] * bf.uVals[vb+c]
-						muls++
-						adds++
-					}
-				}
-			}
-		}
-		pb := f.colPerm[step] * k
-		for c := 0; c < k; c++ {
-			piv[c] = w[pb+c]
-			w[pb+c] = 0
-			rowMax[c] = math.Abs(piv[c])
-		}
-		u := f.uRows[step]
-		ub := int(bf.uOff[step])
-		for i := range u {
-			jb := u[i].j * k
-			vb := (ub + i) * k
-			for c := 0; c < k; c++ {
-				v := w[jb+c]
-				bf.uVals[vb+c] = v
-				w[jb+c] = 0
-				if a := math.Abs(v); a > rowMax[c] {
-					rowMax[c] = a
-				}
-			}
-		}
-		db := step * k
-		for c := 0; c < k; c++ {
-			if rowMax[c] == 0 || math.Abs(piv[c]) < refactorPivotTol*rowMax[c] {
-				// Lane content is partially overwritten; callers redo the
-				// failed batch through the scalar path, which rewrites
-				// everything it touches.
-				fc.Mul(muls)
-				fc.Add(adds)
-				fc.Div(divs)
-				if rowMax[c] == 0 {
-					return ErrSingular
-				}
-				return ErrPivotDrift
-			}
-			bf.uDiag[db+c] = piv[c]
-		}
-	}
-	fc.Mul(muls)
-	fc.Add(adds)
-	fc.Div(divs)
-	return nil
-}
-
-// refactorNumericMultiCplx is the complex128 RefactorNumericMulti body —
-// keep in lockstep with refactorNumericMultiReal.
-func refactorNumericMultiCplx(bf *BatchLUOf[complex128], mp *MultiPatternOf[complex128], fc *flop.Counter) error {
-	f := bf.f
-	p := mp.p
-	k := bf.k
-	n := f.n
-	w := bf.work
-	mult := bf.multRow
-	piv := bf.pivRow
-	rowMax := bf.rowMaxRow
-	muls, adds, divs := 0, 0, 0
-	for step := 0; step < n; step++ {
-		r := f.rowPerm[step]
-		for idx := p.rowPtr[r]; idx < p.rowPtr[r+1]; idx++ {
-			wb := int(p.colIdx[idx]) * k
-			vb := int(idx) * k
-			for c := 0; c < k; c++ {
-				w[wb+c] = mp.vals[vb+c]
-			}
-		}
-		for _, sr := range f.rowSteps[r] {
-			m := int(sr.step)
-			wb := f.colPerm[m] * k
-			db := m * k
-			lb := (int(bf.lOff[m]) + int(sr.slot)) * k
-			for c := 0; c < k; c++ {
-				mult[c] = w[wb+c] / bf.uDiag[db+c]
-				w[wb+c] = 0
-				bf.lVals[lb+c] = mult[c]
-			}
-			divs += k
-			u := f.uRows[m]
-			ub := int(bf.uOff[m])
-			for i := range u {
-				jb := u[i].j * k
-				vb := (ub + i) * k
-				for c := 0; c < k; c++ {
-					if mult[c] != 0 {
-						w[jb+c] -= mult[c] * bf.uVals[vb+c]
-						muls++
-						adds++
-					}
-				}
-			}
-		}
-		pb := f.colPerm[step] * k
-		for c := 0; c < k; c++ {
-			piv[c] = w[pb+c]
-			w[pb+c] = 0
-			rowMax[c] = cmplx.Abs(piv[c])
-		}
-		u := f.uRows[step]
-		ub := int(bf.uOff[step])
-		for i := range u {
-			jb := u[i].j * k
-			vb := (ub + i) * k
-			for c := 0; c < k; c++ {
-				v := w[jb+c]
-				bf.uVals[vb+c] = v
-				w[jb+c] = 0
-				if a := cmplx.Abs(v); a > rowMax[c] {
-					rowMax[c] = a
-				}
-			}
-		}
-		db := step * k
-		for c := 0; c < k; c++ {
-			if rowMax[c] == 0 || cmplx.Abs(piv[c]) < refactorPivotTol*rowMax[c] {
-				// See refactorNumericMultiReal.
-				fc.Mul(muls)
-				fc.Add(adds)
-				fc.Div(divs)
-				if rowMax[c] == 0 {
-					return ErrSingular
-				}
-				return ErrPivotDrift
-			}
-			bf.uDiag[db+c] = piv[c]
-		}
-	}
-	fc.Mul(muls)
-	fc.Add(adds)
-	fc.Div(divs)
-	return nil
-}
-
-// batchSolveEachReal is the float64 SolveEach body: k factorizations,
-// k right-hand sides.
-func batchSolveEachReal(bf *BatchLUOf[float64], b, x []float64, fc *flop.Counter) {
-	f := bf.f
-	k := bf.k
-	n := f.n
-	yM := bf.yM
-	zM := bf.zM
-	for c := 0; c < k; c++ {
-		bc := b[c*n : (c+1)*n]
-		for i := 0; i < n; i++ {
-			yM[i*k+c] = bc[i]
-		}
-	}
-	muls, adds, divs := 0, 0, 0
-	for m := 0; m < n; m++ {
-		yb := f.rowPerm[m] * k
-		l := f.lRows[m]
-		lb := int(bf.lOff[m])
-		for i := range l {
-			jb := l[i].j * k
-			vb := (lb + i) * k
-			for c := 0; c < k; c++ {
-				yk := yM[yb+c]
-				if yk == 0 {
-					continue
-				}
-				yM[jb+c] -= bf.lVals[vb+c] * yk
-				muls++
-				adds++
-			}
-		}
-	}
-	sRow := bf.multRow
-	for m := n - 1; m >= 0; m-- {
-		yb := f.rowPerm[m] * k
-		for c := 0; c < k; c++ {
-			sRow[c] = yM[yb+c]
-		}
-		u := f.uRows[m]
-		ub := int(bf.uOff[m])
-		for i := range u {
-			zb := f.invColPerm[u[i].j] * k
-			vb := (ub + i) * k
-			for c := 0; c < k; c++ {
-				sRow[c] -= bf.uVals[vb+c] * zM[zb+c]
-			}
-			muls += k
-			adds += k
-		}
-		db := m * k
-		for c := 0; c < k; c++ {
-			zM[db+c] = sRow[c] / bf.uDiag[db+c]
-		}
-		divs += k
-	}
-	for m := 0; m < n; m++ {
-		cp := f.colPerm[m]
-		zb := m * k
-		for c := 0; c < k; c++ {
-			x[c*n+cp] = zM[zb+c]
-		}
-	}
-	fc.Mul(muls)
-	fc.Add(adds)
-	fc.Div(divs)
-	for c := 0; c < k; c++ {
-		fc.Solve()
-	}
-}
-
-// batchSolveEachCplx is the complex128 SolveEach body — keep in lockstep
-// with batchSolveEachReal.
-func batchSolveEachCplx(bf *BatchLUOf[complex128], b, x []complex128, fc *flop.Counter) {
-	f := bf.f
-	k := bf.k
-	n := f.n
-	yM := bf.yM
-	zM := bf.zM
-	for c := 0; c < k; c++ {
-		bc := b[c*n : (c+1)*n]
-		for i := 0; i < n; i++ {
-			yM[i*k+c] = bc[i]
-		}
-	}
-	muls, adds, divs := 0, 0, 0
-	for m := 0; m < n; m++ {
-		yb := f.rowPerm[m] * k
-		l := f.lRows[m]
-		lb := int(bf.lOff[m])
-		for i := range l {
-			jb := l[i].j * k
-			vb := (lb + i) * k
-			for c := 0; c < k; c++ {
-				yk := yM[yb+c]
-				if yk == 0 {
-					continue
-				}
-				yM[jb+c] -= bf.lVals[vb+c] * yk
-				muls++
-				adds++
-			}
-		}
-	}
-	sRow := bf.multRow
-	for m := n - 1; m >= 0; m-- {
-		yb := f.rowPerm[m] * k
-		for c := 0; c < k; c++ {
-			sRow[c] = yM[yb+c]
-		}
-		u := f.uRows[m]
-		ub := int(bf.uOff[m])
-		for i := range u {
-			zb := f.invColPerm[u[i].j] * k
-			vb := (ub + i) * k
-			for c := 0; c < k; c++ {
-				sRow[c] -= bf.uVals[vb+c] * zM[zb+c]
-			}
-			muls += k
-			adds += k
-		}
-		db := m * k
-		for c := 0; c < k; c++ {
-			zM[db+c] = sRow[c] / bf.uDiag[db+c]
 		}
 		divs += k
 	}

@@ -1,15 +1,14 @@
 package spmat
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 )
 
-// multiTestShape builds a random diagonally-dominant pattern the way the
-// refactor cross-check test does, returning the compiled pattern, the
-// slot table and the stamp sequence.
-func multiTestShape(rng *rand.Rand, n int) (*Pattern, []int32, []int64) {
+// multiTestShape builds a random diagonally-dominant complex pattern the
+// way the refactor cross-check test does, returning the compiled
+// pattern, the slot table and the stamp sequence.
+func multiTestShape(rng *rand.Rand, n int) (*PatternOf[complex128], []int32, []int64) {
 	var seq []int64
 	for i := 0; i < n; i++ {
 		seq = append(seq, Key(i, i))
@@ -20,13 +19,13 @@ func multiTestShape(rng *rand.Rand, n int) (*Pattern, []int32, []int64) {
 			seq = append(seq, Key(i, rng.Intn(n)))
 		}
 	}
-	pat, slots := CompilePattern(n, seq)
+	pat, slots := CompilePatternOf[complex128](n, seq)
 	return pat, slots, seq
 }
 
-// ladderShape is the deterministic tridiagonal ladder: factor-order and
-// refactor-drift behavior are stable, which the alloc tests rely on.
-func ladderShape(n int) (*Pattern, []int32, []int64) {
+// ladderShape is the deterministic tridiagonal ladder: its factor order
+// is stable, which the alloc test relies on.
+func ladderShape(n int) (*PatternOf[complex128], []int32, []int64) {
 	var seq []int64
 	for i := 0; i < n; i++ {
 		seq = append(seq, Key(i, i))
@@ -34,29 +33,40 @@ func ladderShape(n int) (*Pattern, []int32, []int64) {
 			seq = append(seq, Key(i, i-1), Key(i-1, i))
 		}
 	}
-	pat, slots := CompilePattern(n, seq)
+	pat, slots := CompilePatternOf[complex128](n, seq)
 	return pat, slots, seq
 }
 
-func fillShape(rng *rand.Rand, pat *Pattern, slots []int32, seq []int64) []float64 {
+// fillShape stamps G + jωC-like values: a dominant diagonal with a
+// reactive part, complex couplings off it.
+func fillShape(rng *rand.Rand, pat *PatternOf[complex128], slots []int32, seq []int64) {
 	pat.Zero()
-	vals := make([]float64, len(seq))
 	for k := range seq {
 		i := int(seq[k] >> 32)
 		j := int(seq[k] & 0xffffffff)
-		v := rng.NormFloat64()
+		v := complex(rng.NormFloat64(), rng.NormFloat64())
 		if i == j {
-			v = 4 + rng.Float64()
+			v = complex(4+rng.Float64(), rng.Float64())
 		}
-		vals[k] = v
 		pat.AddSlot(slots[k], v)
 	}
-	return vals
+}
+
+// randRHS fills k column-major right-hand sides, zeroing every third
+// entry: the forward pass has a value-dependent skip.
+func randRHS(rng *rand.Rand, n, k int) []complex128 {
+	b := make([]complex128, n*k)
+	for i := range b {
+		if i%3 != 0 {
+			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+	}
+	return b
 }
 
 // TestSolveMultiBitIdenticalDeterministic locks the multi-RHS kernel to
-// the scalar Solve: lane c of SolveMulti must be bit-identical to a
-// scalar Solve of the same right-hand side, for every lane width.
+// the scalar Solve: right-hand side c of SolveMulti must be
+// bit-identical to a scalar Solve of the same vector, for every k.
 func TestSolveMultiBitIdenticalDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
@@ -69,22 +79,15 @@ func TestSolveMultiBitIdenticalDeterministic(t *testing.T) {
 		}
 		lu.PrepareReuse()
 		for _, k := range []int{1, 2, 3, 8} {
-			b := make([]float64, n*k)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			// Sparse RHS too: the forward pass has a value-dependent skip.
-			for i := 0; i < n*k; i += 3 {
-				b[i] = 0
-			}
-			x := make([]float64, n*k)
+			b := randRHS(rng, n, k)
+			x := make([]complex128, n*k)
 			lu.SolveMulti(b, x, k, nil)
-			xc := make([]float64, n)
+			xc := make([]complex128, n)
 			for c := 0; c < k; c++ {
 				lu.Solve(b[c*n:(c+1)*n], xc, nil)
 				for i := 0; i < n; i++ {
 					if x[c*n+i] != xc[i] {
-						t.Fatalf("trial %d k=%d lane %d row %d: %v != scalar %v",
+						t.Fatalf("trial %d k=%d rhs %d row %d: %v != scalar %v",
 							trial, k, c, i, x[c*n+i], xc[i])
 					}
 				}
@@ -93,162 +96,20 @@ func TestSolveMultiBitIdenticalDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchRefactorBitIdenticalDeterministic locks
-// RefactorNumericMulti + SolveEach to the scalar path: lane c's solution
-// must be bit-identical to RefactorNumeric + Solve on lane c's matrix.
-func TestBatchRefactorBitIdenticalDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + rng.Intn(40)
-		pat, slots, seq := multiTestShape(rng, n)
-		base := fillShape(rng, pat, slots, seq)
-		lu, err := FactorPattern(pat, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		lu.PrepareReuse()
-		for _, k := range []int{1, 2, 5} {
-			mp := NewMultiPattern(pat, k)
-			bf, err := NewBatchLU(lu, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Lane c = a pattern-stable perturbation of the factored
-			// values (the shape AC points and MC trials produce), mirrored
-			// into a scratch scalar pattern for the reference.
-			laneVals := make([][]float64, k)
-			for c := 0; c < k; c++ {
-				vals := make([]float64, len(seq))
-				for s := range seq {
-					v := base[s] * (1 + 0.2*rng.NormFloat64())
-					vals[s] = v
-					mp.AddSlot(slots[s], c, v)
-				}
-				laneVals[c] = vals
-			}
-			b := make([]float64, n*k)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			if err := bf.RefactorNumericMulti(mp, nil); err != nil {
-				// A genuine per-lane drift is legal — but then the scalar
-				// path must agree for at least one lane (the fallback the
-				// consumers rely on).
-				agreed := false
-				for c := 0; c < k && !agreed; c++ {
-					pat.Zero()
-					for s := range seq {
-						pat.AddSlot(slots[s], laneVals[c][s])
-					}
-					agreed = lu.RefactorNumeric(pat, nil) != nil
-				}
-				if !agreed {
-					t.Fatalf("trial %d k=%d: batch drifted but no scalar lane does: %v", trial, k, err)
-				}
-				continue
-			}
-			x := make([]float64, n*k)
-			bf.SolveEach(b, x, nil)
-			xc := make([]float64, n)
-			for c := 0; c < k; c++ {
-				pat.Zero()
-				for s := range seq {
-					pat.AddSlot(slots[s], laneVals[c][s])
-				}
-				if err := lu.RefactorNumeric(pat, nil); err != nil {
-					t.Fatalf("trial %d k=%d lane %d: scalar refactor: %v", trial, k, c, err)
-				}
-				lu.Solve(b[c*n:(c+1)*n], xc, nil)
-				for i := 0; i < n; i++ {
-					if x[c*n+i] != xc[i] {
-						t.Fatalf("trial %d k=%d lane %d row %d: %v != scalar %v",
-							trial, k, c, i, x[c*n+i], xc[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchRefactorDriftMatchesScalar: when one lane's values would make
-// the scalar refactorization report pivot drift, the batch must report
-// it too (and the caller falls back to the scalar path).
-func TestBatchRefactorDriftMatchesScalar(t *testing.T) {
-	n := 6
-	seq := []int64{}
-	for i := 0; i < n; i++ {
-		seq = append(seq, Key(i, i))
-		if i > 0 {
-			seq = append(seq, Key(i, i-1), Key(i-1, i))
-		}
-	}
-	pat, slots := CompilePattern(n, seq)
-	stamp := func(p interface{ AddSlot(int32, float64) }, diag float64) {
-		for k := range seq {
-			i := int(seq[k] >> 32)
-			j := int(seq[k] & 0xffffffff)
-			v := -1.0
-			if i == j {
-				v = diag
-			}
-			p.AddSlot(slots[k], v)
-		}
-	}
-	stamp(pat, 4)
-	lu, err := FactorPattern(pat, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lu.PrepareReuse()
-
-	// Lane 1 collapses the diagonal to ~0 so the reused pivots drift.
-	k := 2
-	mp := NewMultiPattern(pat, k)
-	for s := range seq {
-		i := int(seq[s] >> 32)
-		j := int(seq[s] & 0xffffffff)
-		mp.AddSlot(slots[s], 0, map[bool]float64{true: 4, false: -1}[i == j])
-		if i == j {
-			mp.AddSlot(slots[s], 1, 1e-13)
-		} else {
-			mp.AddSlot(slots[s], 1, -1)
-		}
-	}
-	bf, err := NewBatchLU(lu, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = bf.RefactorNumericMulti(mp, nil)
-	if !errors.Is(err, ErrPivotDrift) && !errors.Is(err, ErrSingular) {
-		t.Fatalf("batch refactor on drifting lane returned %v, want drift/singular", err)
-	}
-
-	// The scalar path agrees lane 1 is unusable under the reused order.
-	pat.Zero()
-	stamp(pat, 1e-13)
-	errScalar := lu.RefactorNumeric(pat, nil)
-	if !errors.Is(errScalar, ErrPivotDrift) && !errors.Is(errScalar, ErrSingular) {
-		t.Fatalf("scalar refactor returned %v, want drift/singular", errScalar)
-	}
-}
-
-// TestSolveMultiZeroAlloc asserts the steady-state multi-RHS cycle stays
-// allocation-free once scratch has grown to the working lane width.
+// TestSolveMultiZeroAlloc asserts the steady-state multi-RHS solve stays
+// allocation-free once scratch has grown to the working k.
 func TestSolveMultiZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	n, k := 60, 8
 	pat, slots, seq := ladderShape(n)
-	baseVals := fillShape(rng, pat, slots, seq)
+	fillShape(rng, pat, slots, seq)
 	lu, err := FactorPattern(pat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lu.PrepareReuse()
-	b := make([]float64, n*k)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n*k)
+	b := randRHS(rng, n, k)
+	x := make([]complex128, n*k)
 	lu.SolveMulti(b, x, k, nil) // grows scratch
 	allocs := testing.AllocsPerRun(50, func() {
 		lu.SolveMulti(b, x, k, nil)
@@ -256,34 +117,11 @@ func TestSolveMultiZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state SolveMulti allocates %.1f times, want 0", allocs)
 	}
-
-	mp := NewMultiPattern(pat, k)
-	for c := 0; c < k; c++ {
-		for s := range seq {
-			mp.AddSlot(slots[s], c, baseVals[s])
-		}
-	}
-	bf, err := NewBatchLU(lu, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.RefactorNumericMulti(mp, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(50, func() {
-		if err := bf.RefactorNumericMulti(mp, nil); err != nil {
-			t.Fatal(err)
-		}
-		bf.SolveEach(b, x, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state RefactorNumericMulti+SolveEach allocates %.1f times, want 0", allocs)
-	}
 }
 
-// BenchmarkSolveMulti compares k batched right-hand sides against k
-// scalar solves on the same factorization — the cache-reuse win the AC
-// noise columns and MC batches consume.
+// BenchmarkSolveMulti compares k right-hand sides in one SolveMulti
+// against k scalar solves on the same factorization: the cache-reuse
+// win the AC noise columns consume.
 func BenchmarkSolveMulti(b *testing.B) {
 	rng := rand.New(rand.NewSource(53))
 	n, k := 200, 8
@@ -294,11 +132,8 @@ func BenchmarkSolveMulti(b *testing.B) {
 		b.Fatal(err)
 	}
 	lu.PrepareReuse()
-	rhs := make([]float64, n*k)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n*k)
+	rhs := randRHS(rng, n, k)
+	x := make([]complex128, n*k)
 	b.Run("batched", func(b *testing.B) {
 		lu.SolveMulti(rhs, x, k, nil)
 		b.ReportAllocs()

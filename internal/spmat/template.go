@@ -31,7 +31,7 @@ func (p *PatternOf[T]) CloneStructure() *PatternOf[T] {
 //
 // Because that first refactorization overwrites every value anyway, the
 // clone defers ALL numeric allocation to its first use (materialize,
-// called from RefactorNumeric/Solve/NewBatchLU). CloneSkeleton itself is
+// called from RefactorNumeric/Solve/SolveMulti). CloneSkeleton itself is
 // O(1): the hierarchical compiler stamps out thousands of per-instance
 // solvers at deck-compile time, and eager entry blocks — ~100KB each on a
 // 2-D-fill block — turned that loop into an allocation storm. Deferring

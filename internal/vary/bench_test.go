@@ -1,6 +1,7 @@
 package vary
 
 import (
+	"fmt"
 	"testing"
 
 	"nanosim/internal/core"
@@ -97,5 +98,33 @@ func BenchmarkMonteCarloTrial(b *testing.B) {
 			b.Fatal(out.err)
 		}
 		w.postTrial(false)
+	}
+}
+
+// BenchmarkMonteCarloOP times an op-job MonteCarlo batch on the sparse
+// backend: 200 trials of the 24-stage RTD ladder with every RTD's A at
+// DEV 5%, at Workers 1 and 2. It reports the batch's numeric refactors
+// too. It calls MonteCarlo alone, so the same file runs against older
+// trees.
+func BenchmarkMonteCarloOP(b *testing.B) {
+	ckt := rtdLadder(b, 24)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := Options{Trials: 200, Seed: 1, Workers: workers,
+				Specs: []Spec{{Elem: "N*", Param: "A", Sigma: 0.05, Rel: true}},
+				Job:   Job{Analysis: "op"}}
+			b.ReportAllocs()
+			var res *Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = MonteCarlo(ckt, opt); err != nil {
+					b.Fatal(err)
+				}
+				if res.Failed != 0 {
+					b.Fatalf("%d trials failed: %v", res.Failed, res.TrialErrors)
+				}
+			}
+			b.ReportMetric(float64(res.Solve.NumericRefactor), "refactors/batch")
+		})
 	}
 }

@@ -10,25 +10,25 @@ import (
 )
 
 // TestMCParallelDeterministic is the Monte-Carlo leg of the multi-core
-// determinism battery: on three configurations covering the lockstep
-// op-batch path, its dense-backend serial fallback and the transient
+// determinism battery: on three configurations covering op trials on
+// the sparse backend, op trials on the dense backend and the transient
 // job, the batch must be bit-identical at every Workers count and
-// across repeat runs. Trial counts are chosen to leave ragged tail
-// groups (sizes 2 and 1) so the partial-batch paths run too.
+// across repeat runs. Trial counts are not multiples of the worker
+// counts, so workers finish unevenly.
 func TestMCParallelDeterministic(t *testing.T) {
 	configs := []struct {
 		name string
 		ckt  func() *circuit.Circuit
 		opt  Options
 	}{
-		// 12-node ladder engages the sparse backend: groups of four
-		// trials run through core.OperatingPointBatch.
+		// 12-node ladder engages the sparse backend: every trial
+		// refactors its worker's solver warmed on the nominal deck.
 		{"op-batched", func() *circuit.Circuit { return rtdLadder(t, 12) },
 			Options{Trials: 10, Seed: 7,
 				Specs: []Spec{{Elem: "N*", Param: "A", Sigma: 0.05, Rel: true}},
 				Job:   Job{Analysis: "op"}}},
-		// The small divider compiles to the dense backend, which cannot
-		// lane-batch — every group falls back to the scalar path.
+		// The small divider compiles to the dense backend, which
+		// carries no pivot order between trials.
 		{"op-dense-fallback", func() *circuit.Circuit { return rtdDivider(t) },
 			Options{Trials: 9, Seed: 3,
 				Specs: []Spec{{Elem: "R1", Sigma: 0.05, Rel: true}},

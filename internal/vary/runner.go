@@ -10,11 +10,9 @@ import (
 
 	"nanosim/internal/analysis"
 	"nanosim/internal/circuit"
-	"nanosim/internal/core"
 	"nanosim/internal/flop"
 	"nanosim/internal/linsolve"
 	"nanosim/internal/randx"
-	"nanosim/internal/trace"
 	"nanosim/internal/wave"
 )
 
@@ -210,33 +208,18 @@ type batchConfig struct {
 	ctx       context.Context // batch cancellation (may be nil)
 }
 
-// opBatchLanes is the lockstep group width for "op" jobs: consecutive
-// trials are batched in fours through core.OperatingPointBatch. The
-// grouping is by trial index alone — never by worker schedule — so the
-// batch composition (and therefore every result bit) is identical at
-// any Workers count.
-const opBatchLanes = 4
-
-// groupSize returns the dispatch granularity for the job: op trials go
-// out in fixed lockstep groups, everything else one trial at a time.
-func groupSize(job Job) int {
-	if job.Analysis == "op" {
-		return opBatchLanes
-	}
-	return 1
-}
-
 // runBatch executes the trials over a worker pool and returns outcomes
-// in trial order plus the summed solver stats.
+// in trial order plus the summed solver stats. Trials go out one at a
+// time; each runs on its worker's warm solvers and is followed by
+// postTrial, so its outcome depends on its own clone alone, never on
+// which worker ran it or what ran before.
 func runBatch(cfg batchConfig, trials []trialRun) ([]trialOut, linsolve.SolveStats) {
-	gs := groupSize(cfg.job)
-	groups := (len(trials) + gs - 1) / gs
 	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > groups {
-		workers = groups
+	if workers > len(trials) {
+		workers = len(trials)
 	}
 	if workers < 1 {
 		workers = 1
@@ -252,12 +235,9 @@ func runBatch(cfg batchConfig, trials []trialRun) ([]trialOut, linsolve.SolveSta
 			defer wg.Done()
 			w := newWorker(cfg.base, cfg.job, cfg.factory, cfg.ctx)
 			w.warm()
-			for lo := range idx {
-				hi := lo + gs
-				if hi > len(trials) {
-					hi = len(trials)
-				}
-				runGroup(cfg, w, trials, outs, lo, hi)
+			for i := range idx {
+				outs[i] = runTrial(cfg, w, trials[i])
+				w.postTrial(outs[i].err != nil)
 			}
 			w.collect()
 			mu.Lock()
@@ -265,65 +245,17 @@ func runBatch(cfg batchConfig, trials []trialRun) ([]trialOut, linsolve.SolveSta
 			mu.Unlock()
 		}()
 	}
-	for lo := 0; lo < len(trials); lo += gs {
+	for i := range trials {
 		// Stop feeding once the batch is canceled; trials already in
 		// flight abort through the job context.
 		if cfg.ctx != nil && cfg.ctx.Err() != nil {
 			break
 		}
-		idx <- lo
+		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	return outs, total
-}
-
-// runGroup runs the trials [lo, hi): through the lockstep batch path
-// when the group qualifies, trial by trial otherwise. A batch that
-// cannot finish (unsupported backend, pivot drift, a singular or
-// non-converging lane, ...) left the worker's warm solver untouched, so
-// the serial redo reproduces the exact scalar outcome per trial.
-func runGroup(cfg batchConfig, w *worker, trials []trialRun, outs []trialOut, lo, hi int) {
-	if hi-lo >= 2 && cfg.job.Analysis == "op" && w.tryBatchOP(cfg, trials[lo:hi], outs[lo:hi]) {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		outs[i] = runTrial(cfg, w, trials[i])
-		w.postTrial(outs[i].err != nil)
-	}
-}
-
-// tryBatchOP attempts one lockstep operating-point batch over the
-// group. It only reports success when every lane converged cleanly;
-// any other outcome (including a failed prepare) falls back to the
-// scalar path, which re-clones and re-perturbs deterministically.
-func (w *worker) tryBatchOP(cfg batchConfig, trials []trialRun, outs []trialOut) bool {
-	// The warm nominal op run requests exactly one solver; anything else
-	// means the cache is cold or broken and the scalar path must decide.
-	if w.broken || w.warmLen != 1 || len(w.seq.Solvers()) != 1 {
-		return false
-	}
-	base := w.seq.Solvers()[0]
-	clones := make([]*circuit.Circuit, len(trials))
-	for c, tr := range trials {
-		clone := cfg.base.Clone()
-		if _, err := tr.prepare(clone); err != nil {
-			return false
-		}
-		clones[c] = clone
-	}
-	opt := cfg.job.OP
-	opt.Solver = nil // the batch solves against base, never a factory
-	opt.Ctx = cfg.ctx
-	res, err := core.OperatingPointBatch(clones, base, opt)
-	if err != nil {
-		return false
-	}
-	w.stats.Accumulate(res.Solve)
-	for c := range trials {
-		outs[c] = measure(cfg, trials[c].index, trace.OPWaves(clones[c], res.Lanes[c].X))
-	}
-	return true
 }
 
 // runTrial clones, perturbs, simulates and measures one trial.

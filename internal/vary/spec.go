@@ -10,47 +10,29 @@ import (
 	"nanosim/internal/randx"
 )
 
-// Dist selects the sampling distribution of a Spec.
-type Dist int
+// Dist selects the sampling distribution of a Spec. Its names and
+// spellings are randx's, the one list the netlist parser also checks.
+type Dist = randx.Dist
 
 // Supported distributions.
 const (
 	// Gauss perturbs additively: value = nominal + sigma·N(0,1).
-	Gauss Dist = iota
+	Gauss = randx.Gauss
 	// Uniform perturbs additively: value = nominal + sigma·U(-1,1);
 	// Sigma is the half-range.
-	Uniform
+	Uniform = randx.Uniform
 	// Lognormal perturbs multiplicatively: value = nominal·exp(sigma·N(0,1));
 	// Sigma is the log-domain standard deviation and Rel is ignored.
-	Lognormal
+	Lognormal = randx.Lognormal
 )
-
-// String names the distribution as the netlist DIST= keyword spells it.
-func (d Dist) String() string {
-	switch d {
-	case Gauss:
-		return "GAUSS"
-	case Uniform:
-		return "UNIFORM"
-	case Lognormal:
-		return "LOGNORMAL"
-	default:
-		return fmt.Sprintf("Dist(%d)", int(d))
-	}
-}
 
 // ParseDist reads a DIST= keyword (case-insensitive).
 func ParseDist(s string) (Dist, error) {
-	switch strings.ToUpper(s) {
-	case "", "GAUSS", "NORMAL":
-		return Gauss, nil
-	case "UNIFORM", "FLAT":
-		return Uniform, nil
-	case "LOGNORMAL":
-		return Lognormal, nil
-	default:
-		return Gauss, fmt.Errorf("vary: unknown distribution %q (want GAUSS, UNIFORM or LOGNORMAL)", s)
+	d, err := randx.ParseDist(s)
+	if err != nil {
+		return d, fmt.Errorf("vary: %w", err)
 	}
+	return d, nil
 }
 
 // Spec declares one Monte Carlo variation: which parameter varies, how
