@@ -59,9 +59,9 @@ func nestedCellDeck(stages int) string {
 // TestPartitionedTransientDeterministic pins the routing of partitioned
 // runs through the hierarchical compiler: on every testdata deck with a
 // .tran card, a generated nested-subcircuit deck and a deck that
-// partitions into one block, at 1, 2 and 8 workers, nanosim.Transient must equal core.Transient bit for bit —
-// every raw sample, the final state, Stats with flops, and the total
-// left on the caller's flop counter.
+// partitions into one block, nanosim.Transient must equal core.Transient
+// bit for bit — every raw sample, the final state, Stats with flops, and
+// the total left on the caller's flop counter.
 func TestPartitionedTransientDeterministic(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.sp"))
 	if err != nil || len(paths) == 0 {
@@ -83,8 +83,8 @@ func TestPartitionedTransientDeterministic(t *testing.T) {
 		decks[filepath.Base(p)] = string(src)
 		names = append(names, filepath.Base(p))
 	}
-	// The generated deck must exercise template clones, the state the
-	// worker pool shares between blocks.
+	// The generated deck must exercise template clones, the solver state
+	// blocks of one subcircuit master share.
 	opt, _ := partitionedTranOptions(t, decks["nested-cells"])
 	if _, rep, err := hier.CompileTransient(parseCircuit(t, decks["nested-cells"]), opt); err != nil || rep.Cloned < 8 {
 		t.Fatalf("nested-cells: hier compile cloned %v templates (err %v), want >= 8", rep, err)
@@ -97,28 +97,23 @@ func TestPartitionedTransientDeterministic(t *testing.T) {
 			continue
 		}
 		ran++
-		for _, workers := range []int{1, 2, 8} {
-			label := fmt.Sprintf("%s/w%d", name, workers)
-			opt.Workers = workers
-
-			var wantFC, gotFC nanosim.FlopCounter
-			opt.FC = &wantFC
-			want, err := core.Transient(parseCircuit(t, decks[name]), opt)
-			if err != nil {
-				t.Fatalf("%s: core: %v", label, err)
-			}
-			opt.FC = &gotFC
-			got, err := nanosim.Transient(parseCircuit(t, decks[name]), opt)
-			if err != nil {
-				t.Fatalf("%s: nanosim: %v", label, err)
-			}
-			requireSameTransient(t, label, want, got)
-			if name == "single-block" && got.Stats.Blocks != 0 {
-				t.Fatalf("%s: %d blocks, want the monolithic fallback", label, got.Stats.Blocks)
-			}
-			if wantFC.Snapshot() != gotFC.Snapshot() {
-				t.Fatalf("%s: flop counters differ: %+v vs %+v", label, wantFC.Snapshot(), gotFC.Snapshot())
-			}
+		var wantFC, gotFC nanosim.FlopCounter
+		opt.FC = &wantFC
+		want, err := core.Transient(parseCircuit(t, decks[name]), opt)
+		if err != nil {
+			t.Fatalf("%s: core: %v", name, err)
+		}
+		opt.FC = &gotFC
+		got, err := nanosim.Transient(parseCircuit(t, decks[name]), opt)
+		if err != nil {
+			t.Fatalf("%s: nanosim: %v", name, err)
+		}
+		requireSameTransient(t, name, want, got)
+		if name == "single-block" && got.Stats.Blocks != 0 {
+			t.Fatalf("%s: %d blocks, want the monolithic fallback", name, got.Stats.Blocks)
+		}
+		if wantFC.Snapshot() != gotFC.Snapshot() {
+			t.Fatalf("%s: flop counters differ: %+v vs %+v", name, wantFC.Snapshot(), gotFC.Snapshot())
 		}
 	}
 	if ran < 2 {

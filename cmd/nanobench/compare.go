@@ -52,13 +52,6 @@ func benchCases(rep *SolverBenchReport) []benchCase {
 	if rep.Partition != nil {
 		out = append(out, benchCase{"partition/partitioned_ms", rep.Partition.PartitionedMs})
 	}
-	if rep.Parallel != nil {
-		for i, w := range rep.Parallel.Workers {
-			if i < len(rep.Parallel.Ms) {
-				out = append(out, benchCase{fmt.Sprintf("parallel/workers=%d", w), rep.Parallel.Ms[i]})
-			}
-		}
-	}
 	if rep.Hier != nil {
 		out = append(out, benchCase{"hier/flatten_compile_ms", rep.Hier.FlattenMs})
 		out = append(out, benchCase{"hier/hier_compile_ms", rep.Hier.HierMs})
@@ -91,26 +84,7 @@ func runSolverBenchCompare(oldPath, newPath string, tol float64, normalize bool)
 	if err != nil {
 		return err
 	}
-	// Scaling curves recorded over different worker grids are different
-	// experiments; matching keys would silently compare only the overlap
-	// and call the rest covered. Refuse instead of guessing.
-	if o, n := oldRep.Parallel, newRep.Parallel; o != nil && n != nil && !equalInts(o.Workers, n.Workers) {
-		return fmt.Errorf("bench-compare: parallel_bench worker grids differ (%v vs %v) — re-record the baseline with the same worker counts", o.Workers, n.Workers)
-	}
 	return compareBenchCases(oldPath, benchCases(oldRep), benchCases(newRep), tol, normalize)
-}
-
-// equalInts reports element-wise equality.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // compareBenchCases is the shared gate engine behind

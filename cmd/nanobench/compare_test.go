@@ -96,39 +96,6 @@ func TestSolverBenchCompareGate(t *testing.T) {
 	}
 }
 
-func TestSolverBenchCompareWorkerGrids(t *testing.T) {
-	dir := t.TempDir()
-	write := func(path string, workers []int, ms []float64) {
-		t.Helper()
-		rep := SolverBenchReport{
-			Schema:   "nanosim/bench-solver/v1",
-			Results:  []SolverBenchEntry{{Backend: "sparse", N: 200, NsPerStep: 1000}},
-			Parallel: &ParallelBench{Workers: workers, Ms: ms},
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	write(oldPath, []int{1, 2, 4}, []float64{100, 60, 30})
-	write(newPath, []int{1, 2, 4}, []float64{100, 60, 30})
-	if err := runSolverBenchCompare(oldPath, newPath, 0.10, false); err != nil {
-		t.Errorf("matching worker grids failed: %v", err)
-	}
-	// Scaling curves recorded over different worker grids are different
-	// experiments; matching keys would compare only the overlap and call
-	// the rest covered, so the gate refuses outright.
-	write(newPath, []int{1, 8}, []float64{100, 20})
-	if err := runSolverBenchCompare(oldPath, newPath, 0.10, false); err == nil || !strings.Contains(err.Error(), "worker grids differ") {
-		t.Errorf("cross-grid comparison not refused: %v", err)
-	}
-}
-
 func TestSolverBenchCompareNormalized(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")

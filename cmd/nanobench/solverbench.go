@@ -64,22 +64,6 @@ type PartitionBench struct {
 	MaxAbsDevV    float64 `json:"max_abs_deviation_v"`
 }
 
-// ParallelBench records the multi-core scaling of the partitioned
-// engine: the RTD pipeline with dormancy off (every block solves every
-// step, so the curve measures the worker pool and nothing else) stepped
-// at each worker count, with the waveforms asserted bit-identical
-// between every run. Wall-times only mean something next to the machine
-// that produced them, so GOMAXPROCS and NumCPU ride along.
-type ParallelBench struct {
-	Stages       int       `json:"stages"`
-	Blocks       int       `json:"blocks"`
-	GOMAXPROCS   int       `json:"gomaxprocs"`
-	Workers      []int     `json:"workers"`
-	Ms           []float64 `json:"ms"`
-	Speedup      []float64 `json:"speedup_vs_serial"`
-	BitIdentical bool      `json:"bit_identical"`
-}
-
 // HierCompileBench records the hierarchical deck-compile path against
 // flatten-and-compile on the 4096-stage subcircuit pipeline: the same
 // deck and assertion the internal/hier acceptance test runs, with the
@@ -120,7 +104,6 @@ type SolverBenchReport struct {
 	MinSpeedup float64            `json:"min_speedup_n200_plus"`
 	Vary       *VarySmoke         `json:"vary_smoke,omitempty"`
 	Partition  *PartitionBench    `json:"partition_bench,omitempty"`
-	Parallel   *ParallelBench     `json:"parallel_bench,omitempty"`
 	Hier       *HierCompileBench  `json:"hier_compile,omitempty"`
 }
 
@@ -221,12 +204,6 @@ func runSolverBench(path string) error {
 		return err
 	}
 	rep.Partition = pb
-
-	plb, err := runParallelBench()
-	if err != nil {
-		return err
-	}
-	rep.Parallel = plb
 
 	hb, err := runHierCompileBench()
 	if err != nil {
@@ -380,59 +357,6 @@ func runPartitionBench() (*PartitionBench, error) {
 	return pb, nil
 }
 
-// runParallelBench steps the RTD pipeline with dormancy disabled at 1,
-// 2 and 4 workers, asserting every run answers bit-identical waveforms
-// (the tentpole determinism contract) and recording the cores-vs-speedup
-// curve. The >= 2x acceptance floor at 4 workers only applies on
-// machines with >= 4 CPUs; on smaller runners the curve is recorded but
-// flat by construction.
-func runParallelBench() (*ParallelBench, error) {
-	const stages, pulsed = 256, 8
-	workerCounts := []int{1, 2, 4}
-	ckt := exp.RTDPipeline(stages, pulsed)
-
-	pb := &ParallelBench{
-		Stages:       stages,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      workerCounts,
-		BitIdentical: true,
-	}
-	var ref *core.Result
-	for _, w := range workerCounts {
-		opt := core.Options{
-			TStop: 10e-9, HInit: 0.1e-9,
-			Partition: &part.Options{NoDormancy: true},
-			Workers:   w,
-		}
-		runtime.GC()
-		start := time.Now()
-		r, err := core.Transient(ckt, opt)
-		if err != nil {
-			return nil, fmt.Errorf("parallel bench (workers=%d): %w", w, err)
-		}
-		ms := float64(time.Since(start).Nanoseconds()) / 1e6
-		pb.Ms = append(pb.Ms, ms)
-		if ref == nil {
-			ref = r
-			pb.Blocks = r.Stats.Blocks
-			pb.Speedup = append(pb.Speedup, 1)
-			continue
-		}
-		pb.Speedup = append(pb.Speedup, pb.Ms[0]/ms)
-		if err := identicalWaves(ref.Waves, r.Waves); err != nil {
-			pb.BitIdentical = false
-			return nil, fmt.Errorf("parallel bench (workers=%d): %w", w, err)
-		}
-	}
-	fmt.Printf("parallel bench: %d stages, %d blocks, dormancy off; workers %v -> ms %v (speedup %v), bit-identical=%v\n",
-		pb.Stages, pb.Blocks, pb.Workers, pb.Ms, pb.Speedup, pb.BitIdentical)
-	if runtime.NumCPU() >= 4 && pb.Speedup[len(pb.Speedup)-1] < 2 {
-		return nil, fmt.Errorf("parallel bench: %.2fx at 4 workers is below the 2x acceptance floor on a %d-CPU machine",
-			pb.Speedup[len(pb.Speedup)-1], runtime.NumCPU())
-	}
-	return pb, nil
-}
-
 // hierCompileFloor is the smallest hierarchical-over-flat compile
 // speedup runHierCompileBench accepts on the 4096-stage pipeline.
 const hierCompileFloor = 10
@@ -451,7 +375,7 @@ func runHierCompileBench() (*HierCompileBench, error) {
 	ckt := deck.Circuit
 	opt := core.Options{
 		TStop: 2e-9, HInit: 0.1e-9,
-		Partition: &part.Options{}, Workers: 4,
+		Partition: &part.Options{},
 	}
 
 	// Hierarchical path first: once the flat compile exists, its
@@ -528,8 +452,8 @@ func bestCompile(compile func() (*core.CompiledTransient, error)) (*core.Compile
 }
 
 // identicalWaves demands bitwise-equal waveform sets: same signals, same
-// timepoints, same values. Any drift between worker counts is a
-// determinism bug, not a tolerance question.
+// timepoints, same values. Any drift between the hierarchical and the
+// flat compile is a bug, not a tolerance question.
 func identicalWaves(a, b *wave.Set) error {
 	an, bn := a.Names(), b.Names()
 	if len(an) != len(bn) {

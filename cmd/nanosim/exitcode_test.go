@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"os"
 	"os/exec"
@@ -50,19 +52,23 @@ func buildCLI(t *testing.T) string {
 	return bin
 }
 
-// runCLI executes the binary and returns its exit code and output.
-func runCLI(t *testing.T, bin string, args ...string) (int, string) {
+// runCLI executes the binary and returns its exit code, stdout and
+// stderr.
+func runCLI(t *testing.T, bin string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	var out, errOut bytes.Buffer
 	cmd := exec.Command(bin, args...)
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		return 0, string(out)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &ee):
+		code = ee.ExitCode()
+	default:
+		t.Fatalf("running %s: %v\n%s", bin, err, errOut.String())
 	}
-	if ee, ok := err.(*exec.ExitError); ok {
-		return ee.ExitCode(), string(out)
-	}
-	t.Fatalf("running %s: %v\n%s", bin, err, out)
-	return -1, ""
+	return code, out.String(), errOut.String()
 }
 
 func TestExitStatusSmoke(t *testing.T) {
@@ -83,6 +89,7 @@ func TestExitStatusSmoke(t *testing.T) {
 	failStep := write("failstep.sp", failStepDeck)
 	bad := write("bad.sp", "* broken\nR1 in\n.end\n")
 
+	usage := func(c int) bool { return c == 2 }
 	cases := []struct {
 		name string
 		args []string
@@ -93,16 +100,51 @@ func TestExitStatusSmoke(t *testing.T) {
 		{"failed trials exit non-zero", []string{"-plot=false", failMC}, func(c int) bool { return c != 0 }, "trials failed"},
 		{"failed step points exit non-zero", []string{"-plot=false", failStep}, func(c int) bool { return c != 0 }, "points failed"},
 		{"parse error exits non-zero", []string{"-plot=false", bad}, func(c int) bool { return c != 0 }, ""},
-		{"usage error exits 2", nil, func(c int) bool { return c == 2 }, ""},
+		{"usage error exits 2", nil, usage, ""},
+		{"negative -j exits 2", []string{"-plot=false", "-j", "-1", good}, usage, "-j -1 out of range"},
+		{"negative -workers exits 2", []string{"-plot=false", "-workers", "-2", good}, usage, "-workers -2 out of range"},
+		{"negative -mc exits 2", []string{"-plot=false", "-mc", "-3", good}, usage, "-mc -3 out of range"},
+		{"-gcouple outside (0,1) exits 2", []string{"-plot=false", "-partition", "-gcouple", "2", good}, usage, "-gcouple 2 out of range"},
 	}
 	for _, c := range cases {
-		code, out := runCLI(t, bin, c.args...)
+		code, stdout, stderr := runCLI(t, bin, c.args...)
 		if !c.want(code) {
-			t.Errorf("%s: exit code %d\n%s", c.name, code, out)
+			t.Errorf("%s: exit code %d\n%s%s", c.name, code, stdout, stderr)
 		}
-		if c.grep != "" && !strings.Contains(out, c.grep) {
-			t.Errorf("%s: output does not mention %q\n%s", c.name, c.grep, out)
+		if c.grep != "" && !strings.Contains(stdout+stderr, c.grep) {
+			t.Errorf("%s: output does not mention %q\n%s%s", c.name, c.grep, stdout, stderr)
 		}
+		if code == 2 && stdout != "" {
+			t.Errorf("%s: a usage error printed to stdout:\n%s", c.name, stdout)
+		}
+	}
+}
+
+// TestParseArgsRejectsRanges: out-of-range flag values fail parseArgs,
+// so the deck (here a path that does not exist) is never read.
+func TestParseArgsRejectsRanges(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-j", "-1"}, "-j -1 out of range"},
+		{[]string{"-workers", "-2"}, "-workers -2 out of range"},
+		{[]string{"-mc", "-3"}, "-mc -3 out of range"},
+		{[]string{"-gcouple", "2"}, "-gcouple 2 out of range"},
+		{[]string{"-gcouple", "-0.5"}, "-gcouple -0.5 out of range"},
+		{[]string{"-gcouple", "1"}, "-gcouple 1 out of range"},
+	} {
+		var stderr strings.Builder
+		_, _, err := parseArgs(append(c.args, "no-such-deck.sp"), &stderr)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parseArgs(%v): error %v, want %q", c.args, err, c.want)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("parseArgs(%v): stderr does not say %q:\n%s", c.args, c.want, stderr.String())
+		}
+	}
+	if _, path, err := parseArgs([]string{"-j", "0", "-mc", "0", "-workers", "0", "-gcouple", "0.5", "deck.sp"}, io.Discard); err != nil || path != "deck.sp" {
+		t.Errorf("in-range flags: path %q, error %v", path, err)
 	}
 }
 

@@ -61,7 +61,7 @@ type config struct {
 	seedSet   bool
 	partition bool    // force the torn-block SWEC engine
 	gcouple   float64 // partitioner coupling threshold (0 = default)
-	threads   int     // engine worker pools (-j; 0 = deck/default)
+	threads   int     // AC and .set map goroutines (-j; 0 = deck/default)
 }
 
 func main() {
@@ -79,7 +79,8 @@ func main() {
 }
 
 // parseArgs reads the command line (without the program name) into a
-// config and the deck path. Usage and flag errors go to stderr.
+// config and the deck path. Usage and flag errors, out-of-range values
+// included, go to stderr.
 func parseArgs(args []string, stderr io.Writer) (config, string, error) {
 	var cfg config
 	fs := flag.NewFlagSet("nanosim", flag.ContinueOnError)
@@ -95,7 +96,7 @@ func parseArgs(args []string, stderr io.Writer) (config, string, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "parallel workers for -mc/-step batches (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.partition, "partition", false, "run SWEC transients on the torn-block engine (like a '.options partition' card)")
 	fs.Float64Var(&cfg.gcouple, "gcouple", 0, "partitioner coupling threshold in (0,1) (0 = engine default)")
-	fs.IntVar(&cfg.threads, "j", 0, "worker threads for the partitioned-transient and AC engines (like a '.options threads=' card; results are bit-identical at any value)")
+	fs.IntVar(&cfg.threads, "j", 0, "worker threads for AC frequency chunks and .set map points (like a '.options threads=' card; results are bit-identical at any value)")
 	fs.Uint64Var(&cfg.seed, "seed", 0, "override the Monte Carlo seed")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: nanosim [flags] deck.sp\n\n")
@@ -105,11 +106,32 @@ func parseArgs(args []string, stderr io.Writer) (config, string, error) {
 		return cfg, "", err
 	}
 	fs.Visit(func(f *flag.Flag) { cfg.seedSet = cfg.seedSet || f.Name == "seed" })
+	if err := checkRanges(cfg); err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return cfg, "", err
+	}
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return cfg, "", errors.New("want exactly one deck")
 	}
 	return cfg, fs.Arg(0), nil
+}
+
+// checkRanges rejects flag values outside their ranges.
+func checkRanges(cfg config) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"mc", cfg.mc}, {"workers", cfg.workers}, {"j", cfg.threads}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d out of range (want an integer >= 0)", f.name, f.v)
+		}
+	}
+	if cfg.gcouple != 0 && (cfg.gcouple <= 0 || cfg.gcouple >= 1) {
+		return fmt.Errorf("-gcouple %g out of range (want a ratio in (0,1))", cfg.gcouple)
+	}
+	return nil
 }
 
 func run(stdout io.Writer, path string, cfg config) error {
@@ -124,9 +146,6 @@ func run(stdout io.Writer, path string, cfg config) error {
 	fmt.Fprintf(stdout, "* %s\n", deck.Circuit.Title)
 	fmt.Fprintf(stdout, "* %d elements, %d nodes, %d analyses\n\n",
 		len(deck.Circuit.Elements()), deck.Circuit.NumNodes()-1, len(deck.Analyses))
-	if cfg.gcouple != 0 && (cfg.gcouple <= 0 || cfg.gcouple >= 1) {
-		return fmt.Errorf("-gcouple %g out of range (want a ratio in (0,1))", cfg.gcouple)
-	}
 	wantMC := cfg.mc > 0 || deck.MC != nil
 	wantStep := cfg.step || len(deck.Steps) > 0
 	ovr := pipeline.Overrides{
@@ -143,9 +162,6 @@ func run(stdout io.Writer, path string, cfg config) error {
 	}
 	if cfg.gcouple != 0 && plan.Partition() == nil {
 		return fmt.Errorf("-gcouple needs -partition (or a '.options partition' card in the deck)")
-	}
-	if cfg.threads < 0 {
-		return fmt.Errorf("-j %d out of range (want an integer >= 0)", cfg.threads)
 	}
 
 	if wantMC || wantStep {

@@ -20,7 +20,9 @@ type transcript struct {
 }
 
 // transcripts lists the pinned invocations: every testdata deck as is,
-// with -partition where it has a .tran card, and three flag variants.
+// with -partition where it has a .tran card, and four flag variants.
+// The -j 2 case is perfbench's subckt-pipeline invocation: a thread
+// count must not change a transcript.
 // To re-record one after an intended change, run the same command line:
 //
 //	go run ./cmd/nanosim -plot=false -workers=1 [flags] testdata/<deck>.sp > testdata/cli/<name>.txt
@@ -54,6 +56,7 @@ func transcripts(t *testing.T) []transcript {
 		transcript{"mc_rtd_inverter.mc16", []string{"-mc", "16", deck("mc_rtd_inverter.sp")}},
 		transcript{"step_rtd_divider.step", []string{"-step", deck("step_rtd_divider.sp")}},
 		transcript{"fet_rtd_inverter.nr", []string{"-engine", "nr", deck("fet_rtd_inverter.sp")}},
+		transcript{"nested_rtd_pipeline.j2", []string{"-j", "2", deck("nested_rtd_pipeline.sp")}},
 	)
 }
 

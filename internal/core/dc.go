@@ -71,18 +71,20 @@ type DCResult struct {
 
 // dcSolver bundles the shared stamping for DC solves.
 type dcSolver struct {
-	sys *stamp.System
-	sol linsolve.Solver
-	opt DCOptions
-	b   []float64
+	sys  *stamp.System
+	sol  linsolve.Solver
+	opt  DCOptions
+	b    []float64
+	xNew []float64 // solveAt's result, overwritten by the next call
 }
 
 func newDCSolver(sys *stamp.System, opt DCOptions) *dcSolver {
 	return &dcSolver{
-		sys: sys,
-		sol: opt.Solver(sys.Dim(), opt.FC),
-		opt: opt,
-		b:   make([]float64, sys.Dim()),
+		sys:  sys,
+		sol:  opt.Solver(sys.Dim(), opt.FC),
+		opt:  opt,
+		b:    make([]float64, sys.Dim()),
+		xNew: make([]float64, sys.Dim()),
 	}
 }
 
@@ -110,7 +112,9 @@ func assembleDCG(sys *stamp.System, a stamp.Adder, x []float64, gmin float64, fc
 }
 
 // solveAt assembles G(x) with SWEC equivalent conductances evaluated at
-// state x, and solves for the new state at source time t.
+// state x, and solves for the new state at source time t. The new state
+// is returned in the solver's own buffer, valid until the next call:
+// callers copy or blend it into their state first.
 func (d *dcSolver) solveAt(t float64, x []float64, stats *Stats) ([]float64, error) {
 	d.sol.Reset()
 	assembleDCG(d.sys, d.sol, x, d.opt.Gmin, d.opt.FC, stats)
@@ -118,12 +122,11 @@ func (d *dcSolver) solveAt(t float64, x []float64, stats *Stats) ([]float64, err
 		d.b[i] = 0
 	}
 	d.sys.StampRHS(t, d.b)
-	xNew := make([]float64, d.sys.Dim())
-	if err := d.sol.Solve(d.b, xNew); err != nil {
+	if err := d.sol.Solve(d.b, d.xNew); err != nil {
 		return nil, err
 	}
 	stats.Solves++
-	return xNew, nil
+	return d.xNew, nil
 }
 
 // refinePoint runs the warm solve plus damped/Aitken refinement on one

@@ -12,8 +12,8 @@ package core
 // Time stepping is deliberately global and shared with the monolithic
 // engine (localErrorOf / stepBoundOf), so a partitioned run obeys the
 // same eq (10)-(12) accuracy contract; the partition changes *where*
-// work happens, not the error control. The serial per-step passes —
-// error control, state copies, recording — visit only the blocks that
+// work happens, not the error control. The per-step bookkeeping passes
+// — error control, state copies, recording — visit only the blocks that
 // are awake (plus, for eq (10), those awake at the last accepted step):
 // every other row is bit-frozen, and a frozen row or device contributes
 // exactly nothing to those passes, so skipping it changes no waveform
@@ -97,15 +97,6 @@ type pBlock struct {
 	iSrcs   []device.Waveform
 	iSrcVal []float64 // current-source values applied at the last assembly
 	brk     *breakSet // breakpoints of internal + stiff-remote sources
-
-	// stats accumulates this block's work (device evals, solves): block
-	// phases may run on pool workers, so each block charges a private
-	// partial that run() folds into the engine total at the end — integer
-	// sums, so the fold is exact and independent of the worker count.
-	stats Stats
-	// err holds the block's phase failure, published at the phase barrier
-	// and scanned in block order so the reported error is deterministic.
-	err error
 }
 
 // partEngine integrates a torn circuit from TStart to TStop.
@@ -132,25 +123,13 @@ type partEngine struct {
 	rec        *trace.Recorder
 	startFlops flop.Snapshot
 
-	// Parallel block dispatch (parallel.go). pool is nil when Workers <= 1
-	// or the partition has a single block; phase state (phT/phH) is
-	// published before each dispatch and the pool's channel handshake
-	// makes it visible to the workers.
-	pool      *blockPool
-	activeIdx []int // awake block indices for this step, reused
-	phT, phH  float64
-	fnSolve   func(int)
-	fnCorrect func(int)
-	fnAccept  func(int)
-	fnRefresh func(int)
-
 	// Awake-set bookkeeping, reused every step: active/activeIdx are the
 	// blocks awake in this attempt, wasActive those awake at the last
 	// accepted step, scanIdx the union (the eq (10) scan), and awakeRows
 	// the rows accepted from the awake blocks.
-	active, wasActive []bool
-	scanIdx           []int
-	awakeRows         []int
+	active, wasActive  []bool
+	activeIdx, scanIdx []int
+	awakeRows          []int
 }
 
 func newPartEngine(sys *stamp.System, p *part.Partition, opt Options) (*partEngine, error) {
@@ -338,7 +317,7 @@ func (e *partEngine) seedBlockDevices(b *pBlock) {
 	gather(b.xb, e.x, b.blk.Rows)
 	for k, tt := range b.sys.TwoTerms() {
 		v := b.sys.Branch(b.xb, tt.Elem.A, tt.Elem.B)
-		b.ttGeq[k], b.ttDG[k] = e.evalGeqSlope(&e.stats, tt.Elem.Model, v)
+		b.ttGeq[k], b.ttDG[k] = e.evalGeqSlope(tt.Elem.Model, v)
 	}
 	for k, f := range b.sys.FETs() {
 		vgs := b.sys.Branch(b.xb, f.Elem.G, f.Elem.S)
@@ -357,20 +336,18 @@ func (e *partEngine) seedTearState() {
 			continue
 		}
 		v := e.x[tr.A] - e.x[tr.B]
-		e.tearGeq[i], e.tearDG[i] = e.evalGeqSlope(&e.stats, tr.TT.Model, v)
+		e.tearGeq[i], e.tearDG[i] = e.evalGeqSlope(tr.TT.Model, v)
 	}
 }
 
-// evalGeqSlope mirrors the monolithic fused evaluation, charging the
-// stats partial of whoever runs it: &e.stats on the serial paths (seed,
-// tears), the block's own partial inside pool-dispatched phases.
-func (e *partEngine) evalGeqSlope(st *Stats, m device.IV, v float64) (geq, dg float64) {
+// evalGeqSlope mirrors the monolithic fused evaluation.
+func (e *partEngine) evalGeqSlope(m device.IV, v float64) (geq, dg float64) {
 	if e.opt.NoPredictor {
 		geq = device.Geq(m, v)
 	} else {
 		geq, dg = device.GeqAndSlope(m, v)
 	}
-	chargeDeviceCost(st, e.opt.FC, m.Cost(), 1)
+	chargeDeviceCost(&e.stats, e.opt.FC, m.Cost(), 1)
 	return geq, dg
 }
 
@@ -404,7 +381,7 @@ func (e *partEngine) predictFET(b *pBlock, k int, f stamp.FETRef, h float64) flo
 	vgsPrev := b.sys.Branch(b.xbPrev, f.Elem.G, f.Elem.S)
 	vdsPrev := b.sys.Branch(b.xbPrev, f.Elem.D, f.Elem.S)
 	gPrev := f.Elem.Model.GeqDS(vgsPrev, vdsPrev)
-	chargeDeviceCost(&b.stats, e.opt.FC, f.Elem.Model.Cost(), 1)
+	chargeDeviceCost(&e.stats, e.opt.FC, f.Elem.Model.Cost(), 1)
 	dgdt := (g - gPrev) / e.hPrev
 	gp := g + 0.5*h*dgdt
 	if fc := e.opt.FC; fc != nil {
@@ -562,14 +539,14 @@ func (e *partEngine) correctBlock(b *pBlock, t, h float64, xTrial []float64) {
 	for _, tt := range bs.TwoTerms() {
 		v := bs.Branch(b.xbNe, tt.Elem.A, tt.Elem.B)
 		g := device.Geq(tt.Elem.Model, v)
-		chargeDeviceCost(&b.stats, e.opt.FC, tt.Elem.Model.Cost(), 1)
+		chargeDeviceCost(&e.stats, e.opt.FC, tt.Elem.Model.Cost(), 1)
 		stamp.Stamp2(b.sol, tt.IA, tt.IB, g)
 	}
 	for _, f := range bs.FETs() {
 		vgs := bs.Branch(b.xbNe, f.Elem.G, f.Elem.S)
 		vds := bs.Branch(b.xbNe, f.Elem.D, f.Elem.S)
 		g := f.Elem.Model.GeqDS(vgs, vds)
-		chargeDeviceCost(&b.stats, e.opt.FC, f.Elem.Model.Cost(), 1)
+		chargeDeviceCost(&e.stats, e.opt.FC, f.Elem.Model.Cost(), 1)
 		stamp.Stamp2(b.sol, f.ID, f.IS, g)
 	}
 	for i := range b.rhs {
@@ -587,7 +564,7 @@ func (e *partEngine) correctBlock(b *pBlock, t, h float64, xTrial []float64) {
 		g := e.tearGPred[ts.tear]
 		if tr.TT != nil {
 			g = device.Geq(tr.TT.Model, xTrial[tr.A]-xTrial[tr.B])
-			chargeDeviceCost(&b.stats, e.opt.FC, tr.TT.Model.Cost(), 1)
+			chargeDeviceCost(&e.stats, e.opt.FC, tr.TT.Model.Cost(), 1)
 		}
 		b.sol.Add(ts.local, ts.local, g)
 		var v float64
@@ -611,35 +588,28 @@ func (e *partEngine) refreshBlock(b *pBlock) {
 	gather(b.xb, e.x, b.blk.Rows)
 	for k, tt := range b.sys.TwoTerms() {
 		v := b.sys.Branch(b.xb, tt.Elem.A, tt.Elem.B)
-		b.ttGeq[k], b.ttDG[k] = e.evalGeqSlope(&b.stats, tt.Elem.Model, v)
+		b.ttGeq[k], b.ttDG[k] = e.evalGeqSlope(tt.Elem.Model, v)
 	}
 	for k, f := range b.sys.FETs() {
 		vgs := b.sys.Branch(b.xb, f.Elem.G, f.Elem.S)
 		vds := b.sys.Branch(b.xb, f.Elem.D, f.Elem.S)
 		b.fetGeq[k] = f.Elem.Model.GeqDS(vgs, vds)
-		chargeDeviceCost(&b.stats, e.opt.FC, f.Elem.Model.Cost(), 1)
+		chargeDeviceCost(&e.stats, e.opt.FC, f.Elem.Model.Cost(), 1)
 	}
 }
 
 // run integrates from TStart to TStop with the global adaptive step.
 //
-// Within each step, the four block-local phases (assemble+solve,
-// corrector passes, capacitor-current update, device refresh) run over
-// the awake blocks through dispatch — inline when Workers <= 1, across
-// the pool otherwise — with everything between phases (wake bookkeeping,
-// tear prediction, error control, dormancy, recording) serial on the
-// calling goroutine. Every phase writes only block-private state plus
-// the block's own rows of e.xNew, so the result is bit-identical at any
-// worker count; see parallel.go.
+// Each step runs on the calling goroutine: wake checks and tear
+// prediction, then loops over the awake blocks in index order for the
+// block-local passes (assemble and solve, corrector passes, capacitor
+// currents, device refresh), with error control, dormancy and recording
+// between them. DESIGN.md §13 records why no worker pool splits the
+// passes.
 func (e *partEngine) run() (*Result, error) {
 	opt := e.opt
 	if opt.FC != nil {
 		e.startFlops = opt.FC.Snapshot()
-	}
-	e.bindPhases()
-	if w := poolWorkers(opt.Workers, len(e.blocks)); w > 1 {
-		e.pool = newBlockPool(w)
-		defer e.pool.close()
 	}
 	t := opt.TStart
 	hCruise := opt.HInit
@@ -672,10 +642,8 @@ func (e *partEngine) run() (*Result, error) {
 		}
 		h, truncated := stepAttempt(e.brk, t, hCruise, opt.HMin)
 		e.predictTears(h)
-		e.phT, e.phH = t, h
 		e.wake(t, h)
-		e.dispatch(e.fnSolve)
-		if err := e.firstBlockErr(); err != nil {
+		if err := e.solveAwake(t, h, false); err != nil {
 			return nil, err
 		}
 		// Optional corrector passes (still derivative-free): re-evaluate
@@ -683,8 +651,7 @@ func (e *partEngine) run() (*Result, error) {
 		// block, Jacobi-style against a pass-start snapshot.
 		for pass := 0; pass < opt.Correctors; pass++ {
 			copy(e.xTrial, e.xNew)
-			e.dispatch(e.fnCorrect)
-			if err := e.firstBlockErr(); err != nil {
+			if err := e.solveAwake(t, h, true); err != nil {
 				return nil, err
 			}
 		}
@@ -700,13 +667,20 @@ func (e *partEngine) run() (*Result, error) {
 		if !opt.FixedStep {
 			bound = e.stepBound(h)
 		}
-		// Accept.
-		e.dispatch(e.fnAccept)
+		// Accept. Capacitor currents advance before Steps does, so the
+		// trapezoidal start matches the monolithic engine's.
+		for _, bi := range e.activeIdx {
+			b := e.blocks[bi]
+			gather(b.xbNe, e.xNew, b.blk.Rows)
+			b.sys.UpdateCapCurrents(b.capI, b.xb, b.xbNe, h, e.trapNow())
+		}
 		e.acceptRows()
 		e.hPrev = h
 		t += h
 		e.stats.Steps++
-		e.dispatch(e.fnRefresh)
+		for _, bi := range e.activeIdx {
+			e.refreshBlock(e.blocks[bi])
+		}
 		e.refreshTears()
 		e.rec.SampleRows(t, e.x, e.awakeRows)
 		e.updateDormancy(h)
@@ -722,13 +696,57 @@ func (e *partEngine) run() (*Result, error) {
 		}
 	}
 	e.rec.Flush()
-	for _, b := range e.blocks {
-		e.stats.fold(&b.stats)
-	}
 	if opt.FC != nil {
 		e.stats.Flops = opt.FC.Snapshot().Sub(e.startFlops)
 	}
 	return &Result{Waves: e.rec.Set(), Stats: e.stats, X: e.x}, nil
+}
+
+// solveAwake is one solve pass over the awake blocks for the step
+// (t, t+h]: each assembles — at the predicted conductances, or for a
+// corrector pass at the trial state e.xTrial — solves, and scatters its
+// owned rows into e.xNew. A failed block does not end the pass: every
+// awake block runs, then the first failure in block order is returned,
+// so the work charged to Stats and the flop counter does not depend on
+// which block failed.
+func (e *partEngine) solveAwake(t, h float64, corrector bool) error {
+	kind := ""
+	if corrector {
+		kind = "corrector "
+	}
+	var first error
+	for _, bi := range e.activeIdx {
+		b := e.blocks[bi]
+		if corrector {
+			e.correctBlock(b, t, h, e.xTrial)
+		} else {
+			e.assembleBlock(b, t, h)
+		}
+		if err := e.solveBlock(bi, t, kind); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// solveBlock solves block bi's assembled system and scatters its owned
+// rows into e.xNew; kind prefixes the failure messages.
+func (e *partEngine) solveBlock(bi int, t float64, kind string) error {
+	b := e.blocks[bi]
+	if err := b.sol.Solve(b.rhs, b.xbNe); err != nil {
+		return fmt.Errorf("core: singular %sblock %d at t=%g: %w", kind, bi, t, err)
+	}
+	e.stats.Solves++
+	e.stats.BlockSolves++
+	if !allFinite(b.xbNe) {
+		return fmt.Errorf("core: non-finite %ssolution in block %d at t=%g", kind, bi, t)
+	}
+	for r, owned := range b.blk.Owned {
+		if owned {
+			e.xNew[b.blk.Rows[r]] = b.xbNe[r]
+		}
+	}
+	return nil
 }
 
 // wake decides which blocks solve in this attempt (wantSolve) and clears
@@ -825,7 +843,7 @@ func (e *partEngine) refreshTears() {
 			continue
 		}
 		v := e.x[tr.A] - e.x[tr.B]
-		e.tearGeq[i], e.tearDG[i] = e.evalGeqSlope(&e.stats, tr.TT.Model, v)
+		e.tearGeq[i], e.tearDG[i] = e.evalGeqSlope(tr.TT.Model, v)
 	}
 }
 

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nanosim/internal/circuit"
 	"nanosim/internal/device"
+	"nanosim/internal/flop"
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
 	"nanosim/internal/wave"
@@ -174,27 +177,94 @@ func TestPartitionedQuiescentSkipsDominate(t *testing.T) {
 	}
 }
 
+// TestPartitionedDeterministic: on three structurally different decks
+// the torn-block engine must give bit-identical results across repeat
+// runs — every raw sample, the final state and the work statistics,
+// flops included.
 func TestPartitionedDeterministic(t *testing.T) {
-	run := func() *Result {
-		res, err := Transient(pipeline(10, 2), Options{
-			TStop: 25e-9, HInit: 0.1e-9, Partition: &part.Options{}})
-		if err != nil {
-			t.Fatalf("transient: %v", err)
-		}
-		return res
+	decks := []struct {
+		name string
+		ckt  func() *circuit.Circuit
+		opt  Options
+		popt part.Options
+	}{
+		{"rtd-pipeline", func() *circuit.Circuit { return pipeline(12, 2) },
+			Options{TStop: 25e-9, HInit: 0.1e-9}, part.Options{}},
+		{"fet-pair", fetInverterPair,
+			Options{TStop: 40e-9, HInit: 0.1e-9, Correctors: 1}, part.Options{}},
+		{"pipeline-nodorm", func() *circuit.Circuit { return pipeline(10, 1) },
+			Options{TStop: 20e-9, HInit: 0.1e-9, Trapezoidal: true}, part.Options{NoDormancy: true}},
 	}
-	a, b := run(), run()
+	for _, d := range decks {
+		t.Run(d.name, func(t *testing.T) {
+			var ref *Result
+			for rep := 0; rep < 2; rep++ {
+				opt := d.opt
+				popt := d.popt
+				opt.Partition = &popt
+				opt.FC = new(flop.Counter)
+				res, err := Transient(d.ckt(), opt)
+				if err != nil {
+					t.Fatalf("rep=%d: %v", rep, err)
+				}
+				if res.Stats.Blocks < 2 {
+					t.Fatalf("deck did not partition (blocks=%d)", res.Stats.Blocks)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				requireBitIdentical(t, d.name, ref, res)
+			}
+		})
+	}
+}
+
+// requireBitIdentical asserts two transient results are bitwise equal:
+// final state, every raw waveform sample, and the work statistics.
+func requireBitIdentical(t *testing.T, label string, a, b *Result) {
+	t.Helper()
+	if err := diffResults(a, b); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// diffResults reports the first difference between two transient
+// results: final state, then every series' raw samples (names, order,
+// lengths, each T and V bit for bit), then the work statistics.
+func diffResults(a, b *Result) error {
 	if len(a.X) != len(b.X) {
-		t.Fatalf("state dim differs across runs")
+		return fmt.Errorf("state dim differs (%d vs %d)", len(a.X), len(b.X))
 	}
 	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			t.Fatalf("run-to-run nondeterminism at row %d: %g vs %g", i, a.X[i], b.X[i])
+		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
+			return fmt.Errorf("state row %d differs: %g vs %g", i, a.X[i], b.X[i])
+		}
+	}
+	an, bn := a.Waves.Names(), b.Waves.Names()
+	if len(an) != len(bn) {
+		return fmt.Errorf("signal count differs (%d vs %d)", len(an), len(bn))
+	}
+	for k, name := range an {
+		if bn[k] != name {
+			return fmt.Errorf("signal %d is %q vs %q", k, name, bn[k])
+		}
+		wa, wb := a.Waves.Get(name), b.Waves.Get(name)
+		if len(wa.T) != len(wb.T) || len(wa.V) != len(wb.V) {
+			return fmt.Errorf("signal %q has %d vs %d samples", name, len(wa.T), len(wb.T))
+		}
+		for i := range wa.T {
+			if math.Float64bits(wa.T[i]) != math.Float64bits(wb.T[i]) ||
+				math.Float64bits(wa.V[i]) != math.Float64bits(wb.V[i]) {
+				return fmt.Errorf("signal %q sample %d differs: (%g, %g) vs (%g, %g)",
+					name, i, wa.T[i], wa.V[i], wb.T[i], wb.V[i])
+			}
 		}
 	}
 	if a.Stats != b.Stats {
-		t.Fatalf("stats differ across identical runs: %+v vs %+v", a.Stats, b.Stats)
+		return fmt.Errorf("stats differ: %+v vs %+v", a.Stats, b.Stats)
 	}
+	return nil
 }
 
 // TestPartitionedMatchesTestdataDecks runs every testdata deck with a
@@ -355,5 +425,90 @@ func TestAwakeSetScansMatchFullScan(t *testing.T) {
 		if got := e.stepBound(h); got != want {
 			t.Fatalf("trial %d: awake-set eqs (11)-(12) = %g, full scan %g", trial, got, want)
 		}
+	}
+}
+
+// TestParallelStepZeroAlloc pins the per-step cost of the awake-set
+// bookkeeping between the block passes: the wake checks, the
+// eq (10)-(12) scans, the accepted-row copies and the row-subset
+// recording of a step must not allocate.
+func TestParallelStepZeroAlloc(t *testing.T) {
+	// Stop the run mid-transient (MaxSteps), where some blocks sleep: the
+	// final step of a finished run lands on TStop, a breakpoint of every
+	// block, and wakes them all.
+	c, err := NewCompiledTransient(pipeline(12, 2), Options{
+		TStop: 25e-9, HInit: 0.1e-9, MaxSteps: 200, Partition: &part.Options{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err == nil {
+		t.Fatal("run finished inside MaxSteps; the check needs it stopped mid-transient")
+	}
+	e := c.pe
+	// The last accepted time is the latest sample on record: the rows
+	// that moved in the final step recorded it.
+	h, tNow := e.hPrev, 0.0
+	for _, name := range e.rec.Set().Names() {
+		s := e.rec.Set().Get(name)
+		tNow = math.Max(tNow, s.T[len(s.T)-1])
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.wake(tNow, h)
+		e.localError(h)
+		e.stepBound(h)
+		e.acceptRows()
+		tNow += h
+		e.rec.SampleRows(tNow, e.x, e.awakeRows)
+	})
+	if allocs != 0 {
+		t.Errorf("awake-set step bookkeeping allocates %.1f times per step, want 0", allocs)
+	}
+	if len(e.activeIdx) == 0 || len(e.activeIdx) == len(e.blocks) {
+		t.Errorf("%d of %d blocks awake: the check needs a partly dormant step", len(e.activeIdx), len(e.blocks))
+	}
+}
+
+// nanIV is a two-terminal device whose current and conductance are NaN
+// everywhere: any block holding one fails its first solve.
+type nanIV struct{}
+
+func (nanIV) I(float64) float64 { return math.NaN() }
+func (nanIV) G(float64) float64 { return math.NaN() }
+func (nanIV) Cost() device.Cost { return device.Cost{Muls: 1} }
+
+// TestPartitionedFailedSolveFinishesPass: when blocks fail their solve,
+// the pass still solves every other awake block, and the run reports the
+// first failure in block order — so the caller's flop counter does not
+// depend on which block failed.
+func TestPartitionedFailedSolveFinishesPass(t *testing.T) {
+	ckt := pipeline(12, 2)
+	ckt.AddDevice("NX1", "sea", "0", nanIV{})
+	ckt.AddDevice("NX2", "sja", "0", nanIV{})
+	opt := Options{TStop: 25e-9, HInit: 0.1e-9, Partition: &part.Options{}}
+	c, err := NewCompiledTransient(ckt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failing []int
+	for bi, b := range c.pe.blocks {
+		for _, tt := range b.sys.TwoTerms() {
+			if _, ok := tt.Elem.Model.(nanIV); ok {
+				failing = append(failing, bi)
+			}
+		}
+	}
+	if len(failing) != 2 || failing[0] == failing[1] {
+		t.Fatalf("NaN devices in blocks %v, want two distinct blocks", failing)
+	}
+	opt.FC = new(flop.Counter)
+	_, err = Transient(ckt, opt)
+	if want := fmt.Sprintf("block %d at t=0", failing[0]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want the first failing %s", err, want)
+	}
+	// Every block is awake on the first step; all but the two failing
+	// ones solved.
+	if got, want := opt.FC.Snapshot().Solves, int64(len(c.pe.blocks)-2); got != want {
+		t.Errorf("%d solves charged, want %d: the pass stopped at the first failure", got, want)
 	}
 }

@@ -89,13 +89,10 @@ type Options struct {
 	// lets a long-running service (cmd/nanosimd) stop a job mid-transient
 	// instead of waiting out the whole integration.
 	Ctx context.Context
-	// Workers bounds the worker pool the torn-block engine dispatches
-	// awake blocks across within each global step (assembly, solve,
-	// corrector and refresh phases; the Gauss-Jacobi coupling already
-	// synchronizes blocks only at step barriers, so the schedule is
-	// embarrassingly parallel between them). <= 1 runs the blocks inline
-	// on the calling goroutine; results are bit-identical at any worker
-	// count. The monolithic engine ignores it.
+	// Workers is ignored: both engines step on the calling goroutine.
+	//
+	// Deprecated: the torn-block engine no longer has a worker pool. The
+	// field stays only so existing callers compile.
 	Workers int
 	// Partition enables the torn-block engine (internal/part): the
 	// circuit is split into weakly coupled blocks, each with its own

@@ -324,3 +324,27 @@ func TestTransientReusesFactorization(t *testing.T) {
 			st.NumericRefactor, res.Stats.Solves, st)
 	}
 }
+
+// TestDCSolveAtZeroAlloc: once warm, a sparse-backed fixed-point pass
+// of the DC solver allocates nothing; the new state lands in the
+// solver's own buffer, which the caller copies out before the next pass.
+func TestDCSolveAtZeroAlloc(t *testing.T) {
+	sys, err := stamp.NewSystem(rtdDivider(device.NewRTD(), 300, device.DC(0.8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDCSolver(sys, DCOptions{Solver: linsolve.NewSparse}.withDefaults())
+	x := make([]float64, sys.Dim())
+	var st Stats
+	pass := func() {
+		xNew, err := d.solveAt(0, x, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(x, xNew)
+	}
+	pass() // compile the pattern and factor
+	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
+		t.Errorf("warm solveAt allocates %.1f times per call, want 0", allocs)
+	}
+}

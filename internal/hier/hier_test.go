@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -73,9 +72,9 @@ func compileAndRun(t *testing.T, src string, opt core.Options) (*core.Result, *R
 }
 
 // TestHierMatchesFlatGoldenDecks is the cross-path property test: on
-// every golden deck with a .tran card, at 1 and 4 workers, the
-// hierarchical compile must reproduce the flat engine bit-for-bit —
-// waveforms, final state, Stats (flops included) and block count.
+// every golden deck with a .tran card, the hierarchical compile must
+// reproduce the flat engine bit-for-bit — waveforms, final state, Stats
+// (flops included) and block count.
 func TestHierMatchesFlatGoldenDecks(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.sp"))
 	if err != nil || len(paths) == 0 {
@@ -100,29 +99,27 @@ func TestHierMatchesFlatGoldenDecks(t *testing.T) {
 		if tran == nil {
 			continue
 		}
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/w%d", filepath.Base(path), workers)
-			t.Run(name, func(t *testing.T) {
-				opt := core.Options{
-					TStop: tran.TStop, HInit: tran.TStep,
-					Workers: workers, Partition: &part.Options{},
-					FC: &flop.Counter{},
-				}
-				flat, err := core.Transient(deck.Circuit, opt)
-				if err != nil {
-					t.Fatalf("flat: %v", err)
-				}
-				opt.FC = &flop.Counter{}
-				got, rep := compileAndRun(t, string(src), opt)
-				requireBitIdentical(t, name, flat, got)
-				if rep.Blocks != flat.Stats.Blocks && !(rep.Blocks == 1 && flat.Stats.Blocks == 0) {
-					t.Fatalf("block count %d, flat saw %d", rep.Blocks, flat.Stats.Blocks)
-				}
-				if rep.Fallbacks != 0 {
-					t.Fatalf("%d adopt fallbacks on %s", rep.Fallbacks, path)
-				}
-			})
-		}
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			opt := core.Options{
+				TStop: tran.TStop, HInit: tran.TStep,
+				Partition: &part.Options{},
+				FC:        &flop.Counter{},
+			}
+			flat, err := core.Transient(deck.Circuit, opt)
+			if err != nil {
+				t.Fatalf("flat: %v", err)
+			}
+			opt.FC = &flop.Counter{}
+			got, rep := compileAndRun(t, string(src), opt)
+			requireBitIdentical(t, name, flat, got)
+			if rep.Blocks != flat.Stats.Blocks && !(rep.Blocks == 1 && flat.Stats.Blocks == 0) {
+				t.Fatalf("block count %d, flat saw %d", rep.Blocks, flat.Stats.Blocks)
+			}
+			if rep.Fallbacks != 0 {
+				t.Fatalf("%d adopt fallbacks on %s", rep.Fallbacks, path)
+			}
+		})
 	}
 }
 
@@ -217,7 +214,7 @@ func TestHierSharesAcrossInstances(t *testing.T) {
 }
 
 // TestHierPipelineAdoptsAndMatchesFlat compiles a pipeline of sparse
-// 10x10-mesh stages for the worker pool: every interior stage must
+// 10x10-mesh stages: every interior stage must
 // adopt the one compiled stage, and the run must reproduce the flat
 // compile bit for bit. The compile-time ratio on the 4096-stage version
 // of this deck is the hier_compile gate of `nanobench -solverbench`.
@@ -229,7 +226,7 @@ func TestHierPipelineAdoptsAndMatchesFlat(t *testing.T) {
 	}
 	opt := core.Options{
 		TStop: 2e-9, HInit: 0.1e-9,
-		Partition: &part.Options{}, Workers: 4,
+		Partition: &part.Options{},
 	}
 	hierCT, rep, err := CompileTransient(deck.Circuit, opt)
 	if err != nil {

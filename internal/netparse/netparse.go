@@ -100,8 +100,10 @@ type OptionsCard struct {
 	GCouple float64
 	// NoDormancy keeps every block solving every step.
 	NoDormancy bool
-	// Threads bounds the engines' worker pools (0 keeps the engine
-	// default; results are bit-identical at any value).
+	// Threads bounds the goroutines of an AC sweep (frequency chunks)
+	// and a .set map (grid points); 0 keeps the engine default.
+	// Transients run on one goroutine. Results are bit-identical at any
+	// value.
 	Threads int
 	// Line is the source line for diagnostics.
 	Line int

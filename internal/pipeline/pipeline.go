@@ -102,8 +102,9 @@ type Overrides struct {
 	// Workers bounds a batch's parallelism; 0 keeps the .mc card's
 	// WORKERS=, then vary's default.
 	Workers int
-	// Threads bounds the engines' worker pools; <= 0 keeps the deck's
-	// '.options threads='.
+	// Threads bounds the goroutines of one AC sweep (frequency chunks)
+	// and one .set map (grid points); <= 0 keeps the deck's
+	// '.options threads='. Transients run on one goroutine.
 	Threads int
 	// Partition forces the torn-block engine on. GCouple (0 = the
 	// deck's) and NoDormancy refine it, whether this or a
@@ -177,7 +178,7 @@ func (p *Plan) card(a netparse.Analysis, seed *uint64) analysis.Spec {
 	case "ac":
 		s.AC = acan.Options{Grid: a.ACGrid, Points: a.Points, FStart: a.From, FStop: a.To, Workers: p.threads}
 	case "tran":
-		s.Tran = core.Options{TStop: a.TStop, HInit: a.TStep, RecordCurrents: true, Partition: p.popt, Workers: p.threads}
+		s.Tran = core.Options{TStop: a.TStop, HInit: a.TStep, RecordCurrents: true, Partition: p.popt}
 	case "em":
 		s.EM = sde.Options{TStop: a.TStop, Steps: a.Steps, Seed: a.Seed, RecordCurrents: true}
 	case "settran":

@@ -39,8 +39,8 @@ func plan(t *testing.T, src string, ovr Overrides) *Plan {
 // TestOverridesScope pins where each override lands: a seed override
 // reseeds single runs and the .mc batch but never a batch's job (its
 // nominal run keeps the card seed), timing reaches single runs and
-// batch jobs alike, and the .options card merges with forced
-// partitioning.
+// batch jobs alike, the .options card merges with forced partitioning,
+// and threads size AC chunks and .set map points.
 func TestOverridesScope(t *testing.T) {
 	seed := uint64(77)
 	p := plan(t, deckSrc, Overrides{Seed: &seed, TStop: 2e-9, Threads: 2, Partition: true, GCouple: 0.5})
@@ -58,14 +58,21 @@ func TestOverridesScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step.Job.Analysis != "tran" || step.Job.Tran.TStop != 2e-9 || step.Job.Tran.Workers != 2 || step.Workers != 0 {
-		t.Errorf("step: job %s tstop %g threads %d, workers %d", step.Job.Analysis, step.Job.Tran.TStop, step.Job.Tran.Workers, step.Workers)
+	if step.Job.Analysis != "tran" || step.Job.Tran.TStop != 2e-9 || step.Workers != 0 {
+		t.Errorf("step: job %s tstop %g, workers %d", step.Job.Analysis, step.Job.Tran.TStop, step.Workers)
+	}
+	ac, setMap := netparse.Analysis{Kind: "ac"}, netparse.Analysis{Kind: "setmap"}
+	if got := p.Card(ac).AC.Workers; got != 2 {
+		t.Errorf("ac workers %d, want the override's 2 threads", got)
+	}
+	if got := plan(t, deckSrc, Overrides{}).Card(setMap).Map.Workers; got != 3 {
+		t.Errorf("set map workers %d, want the card's 3 threads", got)
 	}
 	if po := p.Partition(); po == nil || po.GCouple != 0.5 || !po.NoDormancy {
 		t.Errorf("partition %+v, want gcouple 0.5 with the card's nodormancy", po)
 	}
-	if tr := plan(t, deckSrc, Overrides{}).Single("tran"); tr.Tran.Workers != 3 || tr.Tran.Partition.GCouple != 0.2 {
-		t.Errorf("deck defaults: threads %d, partition %+v", tr.Tran.Workers, tr.Tran.Partition)
+	if tr := plan(t, deckSrc, Overrides{}).Single("tran"); tr.Tran.Partition.GCouple != 0.2 {
+		t.Errorf("deck defaults: partition %+v", tr.Tran.Partition)
 	}
 	noCards := strings.Replace(deckSrc, ".options partition gcouple=0.2 nodormancy threads=3\n", "", 1)
 	if po := plan(t, noCards, Overrides{}).Partition(); po != nil {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// threadsDeck is a partitioned RTD chain whose ".options threads=" card
-// sets the engine's default worker pool; submissions may override it.
+// threadsDeck is a partitioned RTD chain with a ".options threads="
+// card; submissions may override it, and the transient ignores both.
 const threadsDeck = `* rtd chain, partitioned
 V1 in 0 PULSE(0 0.9 1n 0.5n 0.5n 20n)
 R1 in a 400
@@ -33,7 +33,7 @@ C3 c 0 10f
 func TestServeThreadsDeterministic(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
-	// Reference run: deck card threads=2 drives the partitioned engine.
+	// Reference run at the deck card's threads=2.
 	ref := submit(t, ts, SubmitRequest{Deck: threadsDeck}, http.StatusAccepted)
 	if done := waitState(t, ts, ref.ID, StateDone); done.Error != "" {
 		t.Fatalf("reference job error: %s", done.Error)

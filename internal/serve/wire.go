@@ -27,11 +27,10 @@ type SubmitRequest struct {
 	// single mc job fanning out to every core would starve its
 	// neighbours.
 	Workers int `json:"workers,omitempty"`
-	// Threads bounds the engines' worker pools (partitioned-transient
-	// block dispatch, AC frequency chunks) inside one analysis run. The
-	// service default is 1 for the same reason as Workers; the deck's
-	// own ".options threads=" card also sets it. Results are
-	// bit-identical at any value.
+	// Threads bounds the goroutines of an "ac" job's frequency sweep
+	// (contiguous chunks); transients run on one goroutine and ignore
+	// it. The deck's own ".options threads=" card is the default.
+	// Results are bit-identical at any value.
 	Threads int `json:"threads,omitempty"`
 	// Partition forces the torn-block SWEC engine for transients (the
 	// deck's own ".options partition" card also enables it).
