@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"nanosim/internal/circuit"
@@ -177,17 +178,20 @@ func TestPartitionedQuiescentSkipsDominate(t *testing.T) {
 	}
 }
 
-// TestPartitionedDeterministic: on three structurally different decks
-// the torn-block engine must give bit-identical results across repeat
-// runs — every raw sample, the final state and the work statistics,
-// flops included.
-func TestPartitionedDeterministic(t *testing.T) {
-	decks := []struct {
-		name string
-		ckt  func() *circuit.Circuit
-		opt  Options
-		popt part.Options
-	}{
+// determinismDeck is one partitioned transient of the determinism
+// tests: a circuit builder plus its engine and partition options.
+type determinismDeck struct {
+	name string
+	ckt  func() *circuit.Circuit
+	opt  Options
+	popt part.Options
+}
+
+// determinismDecks are three structurally different partitioned runs:
+// an RTD pipeline, a FET pair with one corrector, and a trapezoidal
+// pipeline with dormancy off.
+func determinismDecks() []determinismDeck {
+	return []determinismDeck{
 		{"rtd-pipeline", func() *circuit.Circuit { return pipeline(12, 2) },
 			Options{TStop: 25e-9, HInit: 0.1e-9}, part.Options{}},
 		{"fet-pair", fetInverterPair,
@@ -195,26 +199,78 @@ func TestPartitionedDeterministic(t *testing.T) {
 		{"pipeline-nodorm", func() *circuit.Circuit { return pipeline(10, 1) },
 			Options{TStop: 20e-9, HInit: 0.1e-9, Trapezoidal: true}, part.Options{NoDormancy: true}},
 	}
-	for _, d := range decks {
+}
+
+// run builds the deck's circuit and runs it partitioned with a fresh
+// flop counter, failing if the circuit did not tear into blocks.
+func (d determinismDeck) run() (*Result, error) {
+	opt := d.opt
+	popt := d.popt
+	opt.Partition = &popt
+	opt.FC = new(flop.Counter)
+	res, err := Transient(d.ckt(), opt)
+	if err != nil {
+		return nil, err
+	}
+	if res.Stats.Blocks < 2 {
+		return nil, fmt.Errorf("deck did not partition (blocks=%d)", res.Stats.Blocks)
+	}
+	return res, nil
+}
+
+// TestPartitionedDeterministic: on three structurally different decks
+// the torn-block engine must give bit-identical results across repeat
+// runs — every raw sample, the final state and the work statistics,
+// flops included.
+func TestPartitionedDeterministic(t *testing.T) {
+	for _, d := range determinismDecks() {
 		t.Run(d.name, func(t *testing.T) {
 			var ref *Result
 			for rep := 0; rep < 2; rep++ {
-				opt := d.opt
-				popt := d.popt
-				opt.Partition = &popt
-				opt.FC = new(flop.Counter)
-				res, err := Transient(d.ckt(), opt)
+				res, err := d.run()
 				if err != nil {
 					t.Fatalf("rep=%d: %v", rep, err)
-				}
-				if res.Stats.Blocks < 2 {
-					t.Fatalf("deck did not partition (blocks=%d)", res.Stats.Blocks)
 				}
 				if ref == nil {
 					ref = res
 					continue
 				}
 				requireBitIdentical(t, d.name, ref, res)
+			}
+		})
+	}
+}
+
+// TestParallelPartitionedDeterministic runs each determinism deck on
+// four goroutines at once, each with its own circuit and flop counter,
+// as concurrent requests and sweep points do. The engine keeps no state
+// outside its own run, so every result must equal a serial reference
+// bit for bit, flops included; under -race this also checks that
+// concurrent engines share nothing mutable.
+func TestParallelPartitionedDeterministic(t *testing.T) {
+	const callers = 4
+	for _, d := range determinismDecks() {
+		t.Run(d.name, func(t *testing.T) {
+			ref, err := d.run()
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			results := make([]*Result, callers)
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			for c := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[c], errs[c] = d.run()
+				}()
+			}
+			wg.Wait()
+			for c, res := range results {
+				if errs[c] != nil {
+					t.Fatalf("caller %d: %v", c, errs[c])
+				}
+				requireBitIdentical(t, fmt.Sprintf("%s caller %d", d.name, c), ref, res)
 			}
 		})
 	}

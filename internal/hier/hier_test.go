@@ -1,9 +1,11 @@
 package hier
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"nanosim/internal/core"
@@ -56,25 +58,39 @@ func requireBitIdentical(t *testing.T, label string, a, b *core.Result) {
 // compileAndRun runs hier.CompileTransient and executes the result.
 func compileAndRun(t *testing.T, src string, opt core.Options) (*core.Result, *Report) {
 	t.Helper()
+	res, rep, err := compileRun(src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rep
+}
+
+// compileRun parses src, compiles it with hier.CompileTransient and
+// executes the result, reporting failures as errors so it can run off
+// the test goroutine.
+func compileRun(src string, opt core.Options) (*core.Result, *Report, error) {
 	deck, err := netparse.Parse(src)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
 	ct, rep, err := CompileTransient(deck.Circuit, opt)
 	if err != nil {
-		t.Fatalf("hier compile: %v", err)
+		return nil, nil, fmt.Errorf("hier compile: %w", err)
 	}
 	res, err := ct.Run()
 	if err != nil {
-		t.Fatalf("hier run: %v", err)
+		return nil, nil, fmt.Errorf("hier run: %w", err)
 	}
-	return res, rep
+	return res, rep, nil
 }
 
 // TestHierMatchesFlatGoldenDecks is the cross-path property test: on
 // every golden deck with a .tran card, the hierarchical compile must
 // reproduce the flat engine bit-for-bit — waveforms, final state, Stats
-// (flops included) and block count.
+// (flops included) and block count. Subtest wN runs N hier compiles of
+// the deck at once, each on its own goroutine with its own parse and
+// flop counter, as concurrent requests and sweep points do: engines
+// share no mutable state, so every one of them matches the flat run.
 func TestHierMatchesFlatGoldenDecks(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.sp"))
 	if err != nil || len(paths) == 0 {
@@ -99,27 +115,47 @@ func TestHierMatchesFlatGoldenDecks(t *testing.T) {
 		if tran == nil {
 			continue
 		}
-		name := filepath.Base(path)
-		t.Run(name, func(t *testing.T) {
-			opt := core.Options{
-				TStop: tran.TStop, HInit: tran.TStep,
-				Partition: &part.Options{},
-				FC:        &flop.Counter{},
-			}
-			flat, err := core.Transient(deck.Circuit, opt)
-			if err != nil {
-				t.Fatalf("flat: %v", err)
-			}
-			opt.FC = &flop.Counter{}
-			got, rep := compileAndRun(t, string(src), opt)
-			requireBitIdentical(t, name, flat, got)
-			if rep.Blocks != flat.Stats.Blocks && !(rep.Blocks == 1 && flat.Stats.Blocks == 0) {
-				t.Fatalf("block count %d, flat saw %d", rep.Blocks, flat.Stats.Blocks)
-			}
-			if rep.Fallbacks != 0 {
-				t.Fatalf("%d adopt fallbacks on %s", rep.Fallbacks, path)
-			}
-		})
+		for _, callers := range []int{1, 4} {
+			name := fmt.Sprintf("%s/w%d", filepath.Base(path), callers)
+			t.Run(name, func(t *testing.T) {
+				opt := core.Options{
+					TStop: tran.TStop, HInit: tran.TStep,
+					Partition: &part.Options{},
+					FC:        &flop.Counter{},
+				}
+				flat, err := core.Transient(deck.Circuit, opt)
+				if err != nil {
+					t.Fatalf("flat: %v", err)
+				}
+				results := make([]*core.Result, callers)
+				reports := make([]*Report, callers)
+				errs := make([]error, callers)
+				var wg sync.WaitGroup
+				for c := range callers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						o := opt
+						o.FC = &flop.Counter{}
+						results[c], reports[c], errs[c] = compileRun(string(src), o)
+					}()
+				}
+				wg.Wait()
+				for c, got := range results {
+					if errs[c] != nil {
+						t.Fatalf("caller %d: %v", c, errs[c])
+					}
+					requireBitIdentical(t, fmt.Sprintf("%s caller %d", name, c), flat, got)
+					rep := reports[c]
+					if rep.Blocks != flat.Stats.Blocks && !(rep.Blocks == 1 && flat.Stats.Blocks == 0) {
+						t.Fatalf("block count %d, flat saw %d", rep.Blocks, flat.Stats.Blocks)
+					}
+					if rep.Fallbacks != 0 {
+						t.Fatalf("%d adopt fallbacks on %s", rep.Fallbacks, path)
+					}
+				}
+			})
+		}
 	}
 }
 
