@@ -44,6 +44,7 @@ import (
 	"nanosim/internal/analysis"
 	"nanosim/internal/netparse"
 	"nanosim/internal/pipeline"
+	"nanosim/internal/trace"
 )
 
 // config carries the CLI flags into run.
@@ -242,7 +243,12 @@ func runCard(w io.Writer, plan *pipeline.Plan, deck *netparse.Deck, a netparse.A
 		fmt.Fprintf(w, "== .tran to %s (%s engine) ==\n%s\n", nanosim.FormatValue(a.TStop, 3), cfg.engine, desc)
 		return waves, plotCard(w, waves, cfg, presentNames(waves, deck.Prints))
 	}
-	out, err := analysis.Run(deck.Circuit, plan.Card(a))
+	spec := plan.Card(a)
+	if a.Kind == "tran" && cfg.csvPath == "" {
+		// Only the plot reads the waves, and it shows the .print names.
+		spec.Tran.Probes = tranProbes(deck.Circuit, spec.Tran.RecordCurrents, deck.Prints)
+	}
+	out, err := analysis.Run(deck.Circuit, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -471,6 +477,20 @@ func presentNames(set *nanosim.WaveSet, prints []string) []string {
 	var out []string
 	for _, n := range prints {
 		if set.Get(n) != nil {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// tranProbes lists the .print names a transient of ckt records, the
+// names presentNames would keep from its full output. It returns nil
+// when none matches, so the run records every signal for the
+// plot-everything fallback.
+func tranProbes(ckt *nanosim.Circuit, currents bool, prints []string) []string {
+	var out []string
+	for _, n := range prints {
+		if trace.Records(ckt, currents, n) {
 			out = append(out, n)
 		}
 	}

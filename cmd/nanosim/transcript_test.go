@@ -20,9 +20,12 @@ type transcript struct {
 }
 
 // transcripts lists the pinned invocations: every testdata deck as is,
-// with -partition where it has a .tran card, and four flag variants.
-// The -j 2 case is perfbench's subckt-pipeline invocation: a thread
-// count must not change a transcript.
+// with -partition where it has a .tran card, four flag variants and two
+// plotted runs. The -j 2 case is perfbench's subckt-pipeline
+// invocation: a thread count must not change a transcript. The plots
+// pin what a .tran records without -csv: only the .print names
+// (part_rtd_pipeline), or every signal when no .print name is one
+// (testdata/cli/print_fallback.sp).
 // To re-record one after an intended change, run the same command line:
 //
 //	go run ./cmd/nanosim -plot=false -workers=1 [flags] testdata/<deck>.sp > testdata/cli/<name>.txt
@@ -57,6 +60,8 @@ func transcripts(t *testing.T) []transcript {
 		transcript{"step_rtd_divider.step", []string{"-step", deck("step_rtd_divider.sp")}},
 		transcript{"fet_rtd_inverter.nr", []string{"-engine", "nr", deck("fet_rtd_inverter.sp")}},
 		transcript{"nested_rtd_pipeline.j2", []string{"-j", "2", deck("nested_rtd_pipeline.sp")}},
+		transcript{"part_rtd_pipeline.plot", []string{"-plot", deck("part_rtd_pipeline.sp")}},
+		transcript{"print_fallback.plot", []string{"-plot", deck(filepath.Join("cli", "print_fallback.sp"))}},
 	)
 }
 

@@ -87,6 +87,13 @@ func (c *Circuit) Node(name string) NodeID {
 	return id
 }
 
+// LookupNode returns the NodeID of an existing node and reports whether
+// one is named name; unlike Node it never creates one.
+func (c *Circuit) LookupNode(name string) (NodeID, bool) {
+	id, ok := c.nodeIndex[name]
+	return id, ok
+}
+
 // NodeName returns the declared name of id ("0" for ground).
 func (c *Circuit) NodeName(id NodeID) string {
 	if int(id) < 0 || int(id) >= len(c.nodeNames) {

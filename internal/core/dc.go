@@ -71,11 +71,12 @@ type DCResult struct {
 
 // dcSolver bundles the shared stamping for DC solves.
 type dcSolver struct {
-	sys  *stamp.System
-	sol  linsolve.Solver
-	opt  DCOptions
-	b    []float64
-	xNew []float64 // solveAt's result, overwritten by the next call
+	sys   *stamp.System
+	sol   linsolve.Solver
+	based bool // sol holds the constant stamps as its base (stampBase)
+	opt   DCOptions
+	b     []float64
+	xNew  []float64 // solveAt's result, overwritten by the next call
 }
 
 func newDCSolver(sys *stamp.System, opt DCOptions) *dcSolver {
@@ -88,14 +89,10 @@ func newDCSolver(sys *stamp.System, opt DCOptions) *dcSolver {
 	}
 }
 
-// assembleDCG stamps G(x) — linear conductances, the Gmin leak and the
-// SWEC equivalent conductances evaluated at state x — into a. Device
-// evaluations are charged to fc/stats.
-func assembleDCG(sys *stamp.System, a stamp.Adder, x []float64, gmin float64, fc *flop.Counter, stats *Stats) {
-	sys.StampLinearG(a)
-	for i := 0; i < sys.NodeCount(); i++ {
-		a.Add(i, i, gmin)
-	}
+// stampDeviceG stamps the SWEC equivalent conductances evaluated at
+// state x into a: the part of G(x) on top of the constant base
+// (stampBase). Device evaluations are charged to fc/stats.
+func stampDeviceG(sys *stamp.System, a stamp.Adder, x []float64, fc *flop.Counter, stats *Stats) {
 	for _, tt := range sys.TwoTerms() {
 		v := sys.Branch(x, tt.Elem.A, tt.Elem.B)
 		g := device.Geq(tt.Elem.Model, v)
@@ -116,8 +113,8 @@ func assembleDCG(sys *stamp.System, a stamp.Adder, x []float64, gmin float64, fc
 // is returned in the solver's own buffer, valid until the next call:
 // callers copy or blend it into their state first.
 func (d *dcSolver) solveAt(t float64, x []float64, stats *Stats) ([]float64, error) {
-	d.sol.Reset()
-	assembleDCG(d.sys, d.sol, x, d.opt.Gmin, d.opt.FC, stats)
+	stampBase(d.sol, d.sys, d.opt.Gmin, &d.based)
+	stampDeviceG(d.sys, d.sol, x, d.opt.FC, stats)
 	for i := range d.b {
 		d.b[i] = 0
 	}

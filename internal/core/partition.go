@@ -61,9 +61,10 @@ type tearStamp struct {
 
 // pBlock is the per-run state of one partition block.
 type pBlock struct {
-	blk *part.Block
-	sys *stamp.System
-	sol linsolve.Solver
+	blk   *part.Block
+	sys   *stamp.System
+	sol   linsolve.Solver
+	based bool // sol holds this run's constant stamps as its base (stampBase)
 
 	rhs              []float64
 	xb, xbPrev, xbNe []float64 // gathered previous states and the solve target
@@ -471,11 +472,7 @@ func (e *partEngine) assembleBlock(b *pBlock, t, h float64) {
 	gather(b.xb, e.x, b.blk.Rows)
 	gather(b.xbPrev, e.xPrev, b.blk.Rows)
 	bs := b.sys
-	b.sol.Reset()
-	bs.StampLinearG(b.sol)
-	for i := 0; i < bs.NodeCount(); i++ {
-		b.sol.Add(i, i, e.opt.Gmin)
-	}
+	stampBase(b.sol, bs, e.opt.Gmin, &b.based)
 	for k, tt := range bs.TwoTerms() {
 		stamp.Stamp2(b.sol, tt.IA, tt.IB, e.predictTT(b, k, tt, h))
 	}
@@ -531,11 +528,7 @@ func (e *partEngine) assembleBlock(b *pBlock, t, h float64) {
 func (e *partEngine) correctBlock(b *pBlock, t, h float64, xTrial []float64) {
 	gather(b.xbNe, xTrial, b.blk.Rows)
 	bs := b.sys
-	b.sol.Reset()
-	bs.StampLinearG(b.sol)
-	for i := 0; i < bs.NodeCount(); i++ {
-		b.sol.Add(i, i, e.opt.Gmin)
-	}
+	stampBase(b.sol, bs, e.opt.Gmin, &b.based)
 	for _, tt := range bs.TwoTerms() {
 		v := bs.Branch(b.xbNe, tt.Elem.A, tt.Elem.B)
 		g := device.Geq(tt.Elem.Model, v)
@@ -614,8 +607,11 @@ func (e *partEngine) run() (*Result, error) {
 	t := opt.TStart
 	hCruise := opt.HInit
 	e.seedDeviceState()
+	for _, b := range e.blocks {
+		b.based = false
+	}
 	if e.rec == nil {
-		e.rec = trace.NewRecorder(e.sys, opt.RecordCurrents)
+		e.rec = trace.NewRecorder(e.sys, opt.RecordCurrents, opt.Probes)
 		// Dormant blocks keep their rows bit-frozen; run-length recording
 		// turns those thousands of identical samples per series into two.
 		e.rec.SetCompress(true)

@@ -84,6 +84,13 @@ type Options struct {
 	IC map[string]float64
 	// RecordCurrents adds voltage-source branch currents to the output.
 	RecordCurrents bool
+	// Probes, when non-empty, names the only signals recorded
+	// ("v(node)", and "i(Vname)" with RecordCurrents; see
+	// trace.Records); names matching no signal are ignored. Empty
+	// records every signal. Recording never feeds back into the
+	// integration: a probed run's series equal the full run's, bit for
+	// bit, as do its X and Stats.
+	Probes []string
 	// Ctx, when non-nil, is polled once per attempted step; a canceled
 	// context aborts the run with context.Cause. This is the hook that
 	// lets a long-running service (cmd/nanosimd) stop a job mid-transient
@@ -287,9 +294,10 @@ type engine struct {
 	sys *stamp.System
 	opt Options
 
-	sol  linsolve.Solver
-	dim  int
-	capI []float64 // per-capacitor branch currents (trapezoidal state)
+	sol   linsolve.Solver
+	based bool // sol holds this run's constant stamps as its base
+	dim   int
+	capI  []float64 // per-capacitor branch currents (trapezoidal state)
 
 	x, xPrev []float64 // accepted states
 	hPrev    float64   // last accepted step
@@ -333,7 +341,7 @@ func newEngine(sys *stamp.System, opt Options) (*engine, error) {
 	e.collectBreaks()
 	e.initVScale()
 	e.scan = fullScanSet(sys)
-	e.rec = trace.NewRecorder(sys, opt.RecordCurrents)
+	e.rec = trace.NewRecorder(sys, opt.RecordCurrents, opt.Probes)
 	if opt.FC != nil {
 		e.startFlops = opt.FC.Snapshot()
 	}
@@ -485,12 +493,7 @@ func (e *engine) predictGeqFET(k int, f stamp.FETRef, h float64) float64 {
 // (C/h)·x + b(t+h). The whole cycle is allocation-free in steady state:
 // the solver's compiled pattern handles the matrix side.
 func (e *engine) assemble(t, h float64) {
-	e.sol.Reset()
-	e.sys.StampLinearG(e.sol)
-	// Gmin leak keeps pure-C or floating-ish nodes nonsingular.
-	for i := 0; i < e.sys.NodeCount(); i++ {
-		e.sol.Add(i, i, e.opt.Gmin)
-	}
+	stampBase(e.sol, e.sys, e.opt.Gmin, &e.based)
 	for k, tt := range e.sys.TwoTerms() {
 		stamp.Stamp2(e.sol, tt.IA, tt.IB, e.predictGeq(k, tt.Elem.Model, h))
 	}
@@ -510,6 +513,33 @@ func (e *engine) assemble(t, h float64) {
 	e.sys.StampRHS(t+h, e.rhs)
 }
 
+// stampBase leaves sol holding the time-invariant part of an assembly
+// of sys: the linear conductances (stamp.System.StampLinearG) and the
+// Gmin leak that keeps pure-C or floating-ish nodes nonsingular. Only
+// the device conductances and the reactive companions change from one
+// assembly to the next, so the first call of a run stamps this part
+// after a Reset and marks it as the solver's base (linsolve
+// Solver.MarkBase), and later calls restore the base instead of
+// restamping it. A solver that kept no base (one still recording its
+// first pattern, or rebuilt since) is stamped and marked again.
+//
+// The base belongs to the run, not to the solver: a solver reused
+// across runs (linsolve.SeqCache: vary trials, nanosimd) still holds
+// the base of another circuit's run, so each run starts with based
+// false and its first assembly restamps.
+func stampBase(sol linsolve.Solver, sys *stamp.System, gmin float64, based *bool) {
+	if *based && sol.RestoreBase() {
+		return
+	}
+	sol.Reset()
+	sys.StampLinearG(sol)
+	for i := 0; i < sys.NodeCount(); i++ {
+		sol.Add(i, i, gmin)
+	}
+	sol.MarkBase()
+	*based = true
+}
+
 // trapNow reports whether this step uses the trapezoidal companion. The
 // very first step always runs backward Euler: the capacitor-current
 // state starts unknown and one BE step both bootstraps it and
@@ -519,11 +549,7 @@ func (e *engine) trapNow() bool { return e.opt.Trapezoidal && e.stats.Steps > 0 
 // correctAssemble restamps the system with conductances evaluated at the
 // trial state xTrial (corrector pass).
 func (e *engine) correctAssemble(t, h float64, xTrial []float64) {
-	e.sol.Reset()
-	e.sys.StampLinearG(e.sol)
-	for i := 0; i < e.sys.NodeCount(); i++ {
-		e.sol.Add(i, i, e.opt.Gmin)
-	}
+	stampBase(e.sol, e.sys, e.opt.Gmin, &e.based)
 	for _, tt := range e.sys.TwoTerms() {
 		v := e.sys.Branch(xTrial, tt.Elem.A, tt.Elem.B)
 		g := device.Geq(tt.Elem.Model, v)
@@ -734,6 +760,7 @@ func (e *engine) run() (*Result, error) {
 	// clamp.
 	hCruise := opt.HInit
 	e.seedDeviceState()
+	e.based = false
 	e.rec.Sample(t, e.x)
 	xNew := make([]float64, e.dim)
 

@@ -13,7 +13,10 @@
 // later steps, falling back to a fresh full factorization when a reused
 // pivot drifts numerically bad. The dense backend reuses its
 // factorization storage. In steady state neither backend allocates on
-// the Reset → Add... → Solve cycle. See DESIGN.md §7.
+// the Reset → Add... → Solve cycle. Both can also snapshot the
+// coefficients stamped since Reset (MarkBase) and return to them
+// (RestoreBase), so an engine stamps a run's time-invariant
+// conductances once. See DESIGN.md §7.
 //
 // The same pattern-stability argument extends across whole simulations:
 // a Monte Carlo trial of a perturbed circuit stamps the identical

@@ -8,6 +8,13 @@ import (
 
 // Solver accumulates a square system A*x = b and solves it. Reset clears
 // A (and b) for the next time step; implementations keep their storage.
+//
+// MarkBase and RestoreBase let an engine stamp the coefficients that do
+// not change between assemblies once and return to them instead of
+// restamping: Reset, stamp the constant part, MarkBase; later,
+// RestoreBase and stamp only the varying part. A restored base holds
+// exactly the values Reset followed by the same stamps would, bit for
+// bit, and the stamps after it land where they would after those.
 type Solver interface {
 	// N returns the system dimension.
 	N() int
@@ -15,6 +22,14 @@ type Solver interface {
 	Reset()
 	// Add accumulates v into A[i][j].
 	Add(i, j int, v float64)
+	// MarkBase snapshots the coefficients stamped since the last Reset
+	// as the solver's base, replacing any earlier one. A sparse solver
+	// still recording its first pattern keeps no base.
+	MarkBase()
+	// RestoreBase returns A to the base and reports true. It reports
+	// false and changes nothing when there is no base: none was kept,
+	// or the stamp pattern was rebuilt since it was marked.
+	RestoreBase() bool
 	// At reports the accumulated A[i][j] (diagnostics and tests).
 	At(i, j int) float64
 	// Solve factors A and solves A*x = b, writing into x.
@@ -80,6 +95,7 @@ type Factory func(n int, fc *flop.Counter) Solver
 type dense struct {
 	a     *mat.Dense
 	work  *mat.Dense
+	base  *mat.Dense // MarkBase snapshot of a (nil until marked)
 	f     *mat.LU
 	fc    *flop.Counter
 	dirty bool
@@ -100,6 +116,20 @@ func (d *dense) Reset() {
 func (d *dense) Add(i, j int, v float64) {
 	d.a.Add(i, j, v)
 	d.dirty = true
+}
+func (d *dense) MarkBase() {
+	if d.base == nil {
+		d.base = mat.NewDense(d.a.Rows(), d.a.Rows())
+	}
+	d.base.CopyFrom(d.a)
+}
+func (d *dense) RestoreBase() bool {
+	if d.base == nil {
+		return false
+	}
+	d.a.CopyFrom(d.base)
+	d.dirty = true
+	return true
 }
 func (d *dense) At(i, j int) float64 { return d.a.At(i, j) }
 func (d *dense) Solve(b, x []float64) error {
@@ -150,6 +180,12 @@ type sparseOf[T spmat.Scalar] struct {
 	slots  []int32             // per-sequence-position slot into pat
 	cursor int                 // next expected position during compiled assembly
 
+	// MarkBase snapshot: pat's values and the cursor when it was taken.
+	// A pattern rebuild (decompile) drops it.
+	base       []T
+	baseCursor int
+	hasBase    bool
+
 	lu    *spmat.LUOf[T]
 	dirty bool
 	stats SolveStats
@@ -192,6 +228,29 @@ func (s *sparseOf[T]) Add(i, j int, v T) {
 	s.seq = append(s.seq, spmat.Key(i, j))
 }
 
+// MarkBase implements Solver: it copies the compiled slot values and
+// the sequence cursor. While recording there is no slot table to copy.
+func (s *sparseOf[T]) MarkBase() {
+	s.hasBase = s.pat != nil
+	if s.hasBase {
+		s.base = s.pat.SaveValues(s.base)
+		s.baseCursor = s.cursor
+	}
+}
+
+// RestoreBase implements Solver. Each slot accumulates its stamps in
+// sequence order, so the snapshot taken after the first baseCursor
+// stamps is exactly what replaying them after a Reset would leave.
+func (s *sparseOf[T]) RestoreBase() bool {
+	if !s.hasBase {
+		return false
+	}
+	s.pat.LoadValues(s.base)
+	s.cursor = s.baseCursor
+	s.dirty = true
+	return true
+}
+
 // decompile falls back to recording mode after a stamp-sequence
 // divergence: the values accumulated so far are spilled into the map
 // accumulator and the sequence prefix that did match is kept, so the
@@ -201,6 +260,7 @@ func (s *sparseOf[T]) Add(i, j int, v T) {
 // shared slice would corrupt their recorded sequences.
 func (s *sparseOf[T]) decompile() {
 	s.stats.PatternRebuild++
+	s.hasBase = false
 	t := spmat.NewTripletOf[T](s.n, s.n)
 	s.pat.EachNonzero(func(i, j int, v T) { t.Add(i, j, v) })
 	s.t = t

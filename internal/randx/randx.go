@@ -41,7 +41,20 @@ func splitMix64(x uint64) uint64 {
 // different indices are statistically independent, which lets ensemble
 // runners hand one stream to each Monte Carlo path.
 func Split(seed uint64, i int) *Stream {
-	return New(splitMix64(seed ^ splitMix64(uint64(i)+1)))
+	return New(childSeed(seed, i))
+}
+
+// Resplit re-seeds s in place to the state of a fresh Split(seed, i),
+// so it yields exactly that stream's draws without allocating another
+// source (about 5 KiB of generator state). A batch runner keeps one
+// stream per worker and resplits it for every trial.
+func (s *Stream) Resplit(seed uint64, i int) {
+	s.rng.Seed(int64(childSeed(seed, i)))
+}
+
+// childSeed is the seed of Split's i-th child of seed.
+func childSeed(seed uint64, i int) uint64 {
+	return splitMix64(seed ^ splitMix64(uint64(i)+1))
 }
 
 // Float64 returns a uniform variate in [0, 1).

@@ -206,3 +206,35 @@ func TestNewWienerValidation(t *testing.T) {
 	}()
 	NewWiener(New(1), 1, 0)
 }
+
+// TestResplitMatchesSplit: a used stream resplit to (seed, i) yields
+// exactly the draws of a fresh Split(seed, i), across every draw kind.
+func TestResplitMatchesSplit(t *testing.T) {
+	s := New(99)
+	for _, c := range []struct {
+		seed uint64
+		i    int
+	}{{1, 0}, {1, 7}, {42, 3}, {42, 3}, {0, 1 << 20}} {
+		// Leave s mid-stream first, as the previous trial would.
+		s.Norm()
+		s.Intn(5)
+		s.Resplit(c.seed, c.i)
+		fresh := Split(c.seed, c.i)
+		for k := 0; k < 64; k++ {
+			var a, b any
+			switch k % 4 {
+			case 0:
+				a, b = s.Uint64(), fresh.Uint64()
+			case 1:
+				a, b = s.Float64(), fresh.Float64()
+			case 2:
+				a, b = s.Norm(), fresh.Norm()
+			default:
+				a, b = s.Intn(1000), fresh.Intn(1000)
+			}
+			if a != b {
+				t.Fatalf("Split(%d, %d) draw %d: resplit stream %v, fresh %v", c.seed, c.i, k, a, b)
+			}
+		}
+	}
+}

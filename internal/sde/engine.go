@@ -116,7 +116,7 @@ func run(sys *stamp.System, opt Options) (*Result, error) {
 	rhs := make([]float64, dim)
 	work := make([]float64, dim)
 	xNew := make([]float64, dim)
-	rec := trace.NewRecorder(sys, opt.RecordCurrents)
+	rec := trace.NewRecorder(sys, opt.RecordCurrents, nil)
 	rec.Sample(0, x)
 	sqh := math.Sqrt(h)
 

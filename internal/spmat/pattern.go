@@ -105,6 +105,15 @@ func (p *PatternOf[T]) Zero() {
 	}
 }
 
+// SaveValues appends the current values, in slot order, to dst[:0] and
+// returns the result; LoadValues puts them back. Together they let a
+// solver snapshot a partial assembly and return to it later.
+func (p *PatternOf[T]) SaveValues(dst []T) []T { return append(dst[:0], p.vals...) }
+
+// LoadValues overwrites the values with src, a SaveValues snapshot of a
+// pattern with this structure.
+func (p *PatternOf[T]) LoadValues(src []T) { copy(p.vals, src) }
+
 // AddSlot accumulates v into a compiled slot (from CompilePattern).
 func (p *PatternOf[T]) AddSlot(slot int32, v T) { p.vals[slot] += v }
 

@@ -5,6 +5,8 @@
 package trace
 
 import (
+	"strings"
+
 	"nanosim/internal/circuit"
 	"nanosim/internal/stamp"
 	"nanosim/internal/wave"
@@ -31,12 +33,28 @@ type Recorder struct {
 	held        []bool
 }
 
-// NewRecorder builds a recorder for all node voltages of sys; when
+// NewRecorder builds a recorder for the node voltages of sys; when
 // currents is true, voltage-source branch currents are recorded too.
-func NewRecorder(sys *stamp.System, currents bool) *Recorder {
+// A non-empty probes list restricts it to the signals named there
+// (Records says which names those are; others are ignored), like a
+// SPICE .save. The series keep the recorder's signal order, node rows
+// then sources, whatever the order of probes, so a probed run's set is
+// the full run's set with the unprobed series left out.
+func NewRecorder(sys *stamp.System, currents bool, probes []string) *Recorder {
+	var want []bool // per MNA row; nil records every signal
 	nSignals := sys.NodeCount()
 	if currents {
 		nSignals += len(sys.VSources())
+	}
+	if len(probes) > 0 {
+		want = make([]bool, sys.Dim())
+		nSignals = 0
+		for _, name := range probes {
+			if row, ok := signalRow(sys, currents, name); ok && !want[row] {
+				want[row] = true
+				nSignals++
+			}
+		}
 	}
 	r := &Recorder{
 		set:    wave.NewSetSized(nSignals),
@@ -60,14 +78,59 @@ func NewRecorder(sys *stamp.System, currents bool) *Recorder {
 	ckt := sys.Circuit()
 	for row := 0; row < sys.NodeCount(); row++ {
 		// Row convention: row = NodeID - 1 (stamp package contract).
-		add("v("+ckt.NodeName(circuit.NodeID(row+1))+")", row)
+		if want == nil || want[row] {
+			add("v("+ckt.NodeName(circuit.NodeID(row+1))+")", row)
+		}
 	}
 	if currents {
 		for _, src := range sys.VSources() {
-			add("i("+src.V.Name()+")", src.Branch)
+			if want == nil || want[src.Branch] {
+				add("i("+src.V.Name()+")", src.Branch)
+			}
 		}
 	}
 	return r
+}
+
+// Records reports whether a recorder of ckt records the signal name:
+// "v(node)" for a node other than ground, or, when currents is set,
+// "i(Vname)" for a voltage source. Names match exactly, as wave.Set.Get
+// does.
+func Records(ckt *circuit.Circuit, currents bool, name string) bool {
+	if node, ok := signalArg(name, "v("); ok {
+		id, ok := ckt.LookupNode(node)
+		return ok && id != circuit.Ground
+	}
+	if src, ok := signalArg(name, "i("); ok && currents {
+		_, ok := ckt.Element(src).(*circuit.VSource)
+		return ok
+	}
+	return false
+}
+
+// signalRow resolves a signal name to the MNA row a recorder of sys
+// samples for it; it reports false where Records does.
+func signalRow(sys *stamp.System, currents bool, name string) (int, bool) {
+	if node, ok := signalArg(name, "v("); ok {
+		id, ok := sys.Circuit().LookupNode(node)
+		return int(id) - 1, ok && id != circuit.Ground
+	}
+	if src, ok := signalArg(name, "i("); ok && currents {
+		for _, s := range sys.VSources() {
+			if s.V.Name() == src {
+				return s.Branch, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// signalArg returns arg when name reads prefix + arg + ")".
+func signalArg(name, prefix string) (string, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ")") {
+		return "", false
+	}
+	return name[len(prefix) : len(name)-1], true
 }
 
 // SetCompress switches the recorder into run-length mode. Call before

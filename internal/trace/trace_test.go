@@ -24,7 +24,7 @@ func sys(t *testing.T) *stamp.System {
 
 func TestRecorderNamesAndSamples(t *testing.T) {
 	s := sys(t)
-	r := NewRecorder(s, false)
+	r := NewRecorder(s, false, nil)
 	x := []float64{1.0, 0.5, -1e-3} // v(in), v(out), i(V1)
 	r.Sample(0, x)
 	x2 := []float64{1.0, 0.7, -0.5e-3}
@@ -45,7 +45,7 @@ func TestRecorderNamesAndSamples(t *testing.T) {
 
 func TestRecorderCurrents(t *testing.T) {
 	s := sys(t)
-	r := NewRecorder(s, true)
+	r := NewRecorder(s, true, nil)
 	r.Sample(0, []float64{1, 0.5, -1e-3})
 	iv := r.Set().Get("i(V1)")
 	if iv == nil {
@@ -58,7 +58,7 @@ func TestRecorderCurrents(t *testing.T) {
 
 func TestRecorderMonotonicPanic(t *testing.T) {
 	s := sys(t)
-	r := NewRecorder(s, false)
+	r := NewRecorder(s, false, nil)
 	r.Sample(1e-9, []float64{0, 0, 0})
 	defer func() {
 		if recover() == nil {
@@ -74,7 +74,7 @@ func TestRecorderMonotonicPanic(t *testing.T) {
 // trailing samples.
 func TestRecorderCompression(t *testing.T) {
 	s := sys(t)
-	r := NewRecorder(s, true)
+	r := NewRecorder(s, true, nil)
 	r.SetCompress(true)
 	// v(out) sits flat at 0.5 for four steps, jumps to 0.9, flattens.
 	times := []float64{0, 1, 2, 3, 4, 5, 6}
@@ -134,7 +134,7 @@ func TestSampleRowsMatchesFullSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	frozenAtFlush := 0
 	for trial := 0; trial < 300; trial++ {
-		full, sub := NewRecorder(s, true), NewRecorder(s, true)
+		full, sub := NewRecorder(s, true, nil), NewRecorder(s, true, nil)
 		full.SetCompress(true)
 		sub.SetCompress(true)
 		x := make([]float64, s.Dim())
@@ -187,5 +187,49 @@ func TestSampleRowsMatchesFullSampling(t *testing.T) {
 	}
 	if frozenAtFlush == 0 {
 		t.Fatal("no row was still frozen at Flush: the schedule misses that case")
+	}
+}
+
+// TestRecorderProbes: a probe list keeps only the named signals, in the
+// recorder's own order, ignoring names it does not record; the kept
+// series sample exactly what the full recorder samples.
+func TestRecorderProbes(t *testing.T) {
+	s := sys(t)
+	probes := []string{"i(V1)", "v(out)", "v(nosuch)", "v(0)", "v(gnd)", "i(R1)", "vdb(out)", "v(out)"}
+	x := []float64{1.0, 0.5, -1e-3}
+	for _, currents := range []bool{false, true} {
+		full, probed := NewRecorder(s, currents, nil), NewRecorder(s, currents, probes)
+		for _, r := range []*Recorder{full, probed} {
+			r.Sample(0, x)
+			r.Sample(1e-9, []float64{1.0, 0.7, -0.5e-3})
+		}
+		want := []string{"v(out)"}
+		if currents {
+			want = append(want, "i(V1)")
+		}
+		got := probed.Set().Names()
+		if len(got) != len(want) {
+			t.Fatalf("currents=%v: probed names %v, want %v", currents, got, want)
+		}
+		for k, name := range want {
+			if got[k] != name {
+				t.Fatalf("currents=%v: probed names %v, want %v", currents, got, want)
+			}
+			a, b := full.Set().Get(name), probed.Set().Get(name)
+			for i := range a.T {
+				if a.T[i] != b.T[i] || a.V[i] != b.V[i] {
+					t.Errorf("%s sample %d: (%g, %g), full recorder (%g, %g)", name, i, b.T[i], b.V[i], a.T[i], a.V[i])
+				}
+			}
+		}
+		for _, name := range probes {
+			if rec := full.Set().Get(name) != nil; Records(s.Circuit(), currents, name) != rec {
+				t.Errorf("currents=%v: Records(%q) = %v, but the full recorder has it: %v", currents, name, !rec, rec)
+			}
+		}
+	}
+	// A list that names nothing recorded records nothing.
+	if n := NewRecorder(s, true, []string{"v(nosuch)"}).Set().Len(); n != 0 {
+		t.Errorf("recorder for unmatched probes has %d series, want 0", n)
 	}
 }

@@ -83,7 +83,7 @@ func newNREngine(sys *stamp.System, opt Options) (*nrEngine, error) {
 	e.rhs = make([]float64, e.dim)
 	e.work = make([]float64, e.dim)
 	e.breaks = breakTimes(sys, opt.TStart, opt.TStop)
-	e.rec = trace.NewRecorder(sys, opt.RecordCurrents)
+	e.rec = trace.NewRecorder(sys, opt.RecordCurrents, nil)
 	if opt.FC != nil {
 		e.startFlops = opt.FC.Snapshot()
 	}

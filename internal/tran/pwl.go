@@ -55,7 +55,7 @@ func PWL(ckt *circuit.Circuit, opt Options) (*Result, error) {
 	e.rhs = make([]float64, e.dim)
 	e.work = make([]float64, e.dim)
 	e.breaks = breakTimes(sys, opt.TStart, opt.TStop)
-	e.rec = trace.NewRecorder(sys, opt.RecordCurrents)
+	e.rec = trace.NewRecorder(sys, opt.RecordCurrents, nil)
 	// Tabulate every nonlinear device once.
 	for _, tt := range sys.TwoTerms() {
 		tab, err := device.SampleIV(tt.Elem.Model, -opt.SegRange, opt.SegRange, opt.Segments)

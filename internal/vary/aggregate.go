@@ -9,6 +9,7 @@ import (
 
 	"nanosim/internal/circuit"
 	"nanosim/internal/linsolve"
+	"nanosim/internal/randx"
 	"nanosim/internal/stats"
 	"nanosim/internal/wave"
 )
@@ -569,7 +570,7 @@ func Sweep(ckt *circuit.Circuit, opt SweepOptions) (*SweepResult, error) {
 		}
 		res.Values[r] = pt
 		axes := opt.Axes
-		trials[r] = trialRun{index: r, prepare: func(clone *circuit.Circuit) (uint64, error) {
+		trials[r] = trialRun{index: r, prepare: func(clone *circuit.Circuit, _ *randx.Stream) (uint64, error) {
 			for i, a := range axes {
 				targets, err := targetsAt(clone, axisIdx[i:i+1], a.Param)
 				if err != nil {

@@ -26,7 +26,8 @@ import (
 // threads the batch context (Options.Ctx) in. For "em" and "set" the
 // per-trial seed replaces the options' Seed: trial t draws from
 // randx.Split(batch seed, t), so the batch is bit-identical at any
-// worker count.
+// worker count. A "tran" trial records only the batch's signals
+// (core.Options.Probes) unless the batch keeps every trial's waves.
 type Job = analysis.Job
 
 // jobDefaults normalizes the analysis keyword.
@@ -87,10 +88,14 @@ type worker struct {
 	ffBase  []int // FullFactor count at warm-up, per solver
 	stats   linsolve.SolveStats
 	broken  bool // re-warm failed: stop reusing, run every trial cold
+
+	// stream is resplit to each trial's randx.Split stream (trialRun),
+	// so trials draw from one generator instead of allocating their own.
+	stream *randx.Stream
 }
 
 func newWorker(base *circuit.Circuit, job Job, factory linsolve.Factory, ctx context.Context) *worker {
-	return &worker{base: base, job: job, seq: linsolve.SeqCache{Base: factory}, ctx: ctx}
+	return &worker{base: base, job: job, seq: linsolve.SeqCache{Base: factory}, ctx: ctx, stream: randx.New(0)}
 }
 
 // beginRun resets the call cursor before a job run replays the sequence.
@@ -178,11 +183,11 @@ func batchCanceled(ctx context.Context) error {
 }
 
 // trialRun is one unit of batch work: prepare mutates the trial's clone
-// (drawing parameters or applying grid values) and returns the trial's
-// EM seed.
+// (drawing parameters from the worker's stream, or applying grid
+// values) and returns the trial's EM seed.
 type trialRun struct {
 	index   int
-	prepare func(clone *circuit.Circuit) (emSeed uint64, err error)
+	prepare func(clone *circuit.Circuit, stream *randx.Stream) (emSeed uint64, err error)
 }
 
 // trialOut is the measured outcome of one trial, held per-index so
@@ -214,6 +219,11 @@ type batchConfig struct {
 // postTrial, so its outcome depends on its own clone alone, never on
 // which worker ran it or what ran before.
 func runBatch(cfg batchConfig, trials []trialRun) ([]trialOut, linsolve.SolveStats) {
+	if cfg.job.Analysis == "tran" && !cfg.keepWaves {
+		// measure reads the batch's signals alone; recording is
+		// read-only, so the probed trial equals the full one on them.
+		cfg.job.Tran.Probes = cfg.signals
+	}
 	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -261,7 +271,7 @@ func runBatch(cfg batchConfig, trials []trialRun) ([]trialOut, linsolve.SolveSta
 // runTrial clones, perturbs, simulates and measures one trial.
 func runTrial(cfg batchConfig, w *worker, tr trialRun) trialOut {
 	clone := cfg.base.Clone()
-	emSeed, err := tr.prepare(clone)
+	emSeed, err := tr.prepare(clone, w.stream)
 	if err != nil {
 		return trialOut{err: fmt.Errorf("trial %d: %w", tr.index, err)}
 	}
@@ -353,13 +363,14 @@ func resolveSpecs(ckt *circuit.Circuit, specs []Spec) ([]resolvedSpec, error) {
 	return out, nil
 }
 
-// mcPrepare builds trial t's prepare function: the per-trial stream
-// yields the EM seed first, then one standardized variate per spec draw
-// in declaration order — LOT specs one draw total, DEV specs one per
-// matched element in circuit insertion order.
-func mcPrepare(seed uint64, t int, specs []resolvedSpec) func(clone *circuit.Circuit) (uint64, error) {
-	return func(clone *circuit.Circuit) (uint64, error) {
-		stream := randx.Split(seed, t)
+// mcPrepare builds trial t's prepare function: it resplits the
+// worker's stream to randx.Split(seed, t), which yields the EM seed
+// first, then one standardized variate per spec draw in declaration
+// order — LOT specs one draw total, DEV specs one per matched element
+// in circuit insertion order.
+func mcPrepare(seed uint64, t int, specs []resolvedSpec) func(clone *circuit.Circuit, stream *randx.Stream) (uint64, error) {
+	return func(clone *circuit.Circuit, stream *randx.Stream) (uint64, error) {
+		stream.Resplit(seed, t)
 		emSeed := stream.Uint64()
 		for _, rs := range specs {
 			targets, err := targetsAt(clone, rs.idxs, rs.spec.Param)

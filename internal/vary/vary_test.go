@@ -8,6 +8,7 @@ import (
 	"nanosim/internal/core"
 	"nanosim/internal/device"
 	"nanosim/internal/part"
+	"nanosim/internal/randx"
 	"nanosim/internal/sde"
 	"nanosim/internal/wave"
 )
@@ -247,7 +248,7 @@ func TestMCPrepareLotVsDev(t *testing.T) {
 		return rs
 	}
 	lot := c.Clone()
-	if _, err := mcPrepare(9, 3, mustResolve([]Spec{{Elem: "R*", Sigma: 0.2, Rel: true, Lot: true}}))(lot); err != nil {
+	if _, err := mcPrepare(9, 3, mustResolve([]Spec{{Elem: "R*", Sigma: 0.2, Rel: true, Lot: true}}))(lot, randx.New(0)); err != nil {
 		t.Fatal(err)
 	}
 	ra := lot.Element("RA").(*circuit.Resistor).R
@@ -260,7 +261,7 @@ func TestMCPrepareLotVsDev(t *testing.T) {
 	}
 
 	dev := c.Clone()
-	if _, err := mcPrepare(9, 3, mustResolve([]Spec{{Elem: "R*", Sigma: 0.2, Rel: true}}))(dev); err != nil {
+	if _, err := mcPrepare(9, 3, mustResolve([]Spec{{Elem: "R*", Sigma: 0.2, Rel: true}}))(dev, randx.New(0)); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Element("RA").(*circuit.Resistor).R == dev.Element("RB").(*circuit.Resistor).R {
