@@ -124,8 +124,10 @@ func (c *Circuit) NodeNames() []string {
 	return out
 }
 
-// add validates and inserts an element.
-func (c *Circuit) add(e Element) error {
+// add validates and inserts an element whose terminals are nodes. The
+// Add methods pass the IDs they hold: Element.Nodes would allocate a
+// slice per element.
+func (c *Circuit) add(e Element, nodes ...NodeID) error {
 	name := e.Name()
 	if name == "" {
 		return fmt.Errorf("circuit: element with empty name")
@@ -133,7 +135,7 @@ func (c *Circuit) add(e Element) error {
 	if _, dup := c.byName[name]; dup {
 		return fmt.Errorf("circuit: duplicate element name %q", name)
 	}
-	for _, n := range e.Nodes() {
+	for _, n := range nodes {
 		if int(n) < 0 || int(n) >= len(c.nodeNames) {
 			return fmt.Errorf("circuit: element %q references unknown node %d", name, n)
 		}
@@ -180,7 +182,7 @@ func (c *Circuit) AddResistor(name, a, b string, ohms float64) (*Resistor, error
 		return nil, fmt.Errorf("circuit: resistor %q must have R > 0, got %g", name, ohms)
 	}
 	r := &Resistor{name: name, A: c.Node(a), B: c.Node(b), R: ohms}
-	return r, c.add(r)
+	return r, c.add(r, r.A, r.B)
 }
 
 // Capacitor is a linear two-terminal capacitance.
@@ -206,7 +208,7 @@ func (c *Circuit) AddCapacitor(name, a, b string, farads float64) (*Capacitor, e
 		return nil, fmt.Errorf("circuit: capacitor %q must have C > 0, got %g", name, farads)
 	}
 	cp := &Capacitor{name: name, A: c.Node(a), B: c.Node(b), C: farads}
-	return cp, c.add(cp)
+	return cp, c.add(cp, cp.A, cp.B)
 }
 
 // Inductor is a linear two-terminal inductance; it introduces a branch
@@ -230,7 +232,7 @@ func (c *Circuit) AddInductor(name, a, b string, henries float64) (*Inductor, er
 		return nil, fmt.Errorf("circuit: inductor %q must have L > 0, got %g", name, henries)
 	}
 	l := &Inductor{name: name, A: c.Node(a), B: c.Node(b), L: henries}
-	return l, c.add(l)
+	return l, c.add(l, l.A, l.B)
 }
 
 // VSource is an independent voltage source (branch-current unknown in
@@ -261,7 +263,7 @@ func (c *Circuit) AddVSource(name, pos, neg string, w device.Waveform) (*VSource
 		return nil, fmt.Errorf("circuit: vsource %q needs a waveform", name)
 	}
 	v := &VSource{name: name, Pos: c.Node(pos), Neg: c.Node(neg), W: w}
-	return v, c.add(v)
+	return v, c.add(v, v.Pos, v.Neg)
 }
 
 // ISource is an independent current source pushing current from Neg to
@@ -292,7 +294,7 @@ func (c *Circuit) AddISource(name, pos, neg string, w device.Waveform) (*ISource
 		return nil, fmt.Errorf("circuit: isource %q needs a waveform", name)
 	}
 	i := &ISource{name: name, Pos: c.Node(pos), Neg: c.Node(neg), W: w}
-	return i, c.add(i)
+	return i, c.add(i, i.Pos, i.Neg)
 }
 
 // TwoTerm is a nonlinear two-terminal device (RTD, nanowire, RTT, diode,
@@ -316,7 +318,7 @@ func (c *Circuit) AddDevice(name, a, b string, m device.IV) (*TwoTerm, error) {
 		return nil, fmt.Errorf("circuit: device %q needs a model", name)
 	}
 	t := &TwoTerm{name: name, A: c.Node(a), B: c.Node(b), Model: m}
-	return t, c.add(t)
+	return t, c.add(t, t.A, t.B)
 }
 
 // FET is a three-terminal MOSFET instance.
@@ -340,5 +342,5 @@ func (c *Circuit) AddFET(name, d, g, s string, m *device.MOSFET) (*FET, error) {
 	}
 	f := &FET{name: name, D: c.Node(d), G: c.Node(g), S: c.Node(s)}
 	f.Model = m
-	return f, c.add(f)
+	return f, c.add(f, f.D, f.G, f.S)
 }

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,6 +52,43 @@ func TestReserveKeepsContents(t *testing.T) {
 	}
 	if _, err := c.AddResistor("R2", "mid", "out", 2e3); err != nil || c.Node("out") != 3 {
 		t.Fatalf("add after reserve: %v, out=%d", err, c.Node("out"))
+	}
+}
+
+// TestAddAllocatesOnlyTheElement pins the builder's per-element cost:
+// on reserved storage and existing nodes, an Add call allocates the
+// element itself and nothing else (no terminal slice for validation).
+func TestAddAllocatesOnlyTheElement(t *testing.T) {
+	const runs = 200
+	iv := device.NewRTD()
+	for _, tc := range []struct {
+		name string
+		add  func(c *Circuit, name string) error
+	}{
+		{"AddResistor", func(c *Circuit, name string) error { _, err := c.AddResistor(name, "a", "b", 1e3); return err }},
+		{"AddCapacitor", func(c *Circuit, name string) error { _, err := c.AddCapacitor(name, "a", "b", 1e-12); return err }},
+		{"AddDevice", func(c *Circuit, name string) error { _, err := c.AddDevice(name, "a", "b", iv); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New("allocs")
+			c.Node("a")
+			c.Node("b")
+			c.Reserve(runs+1, 0)
+			names := make([]string, runs+1)
+			for i := range names {
+				names[i] = fmt.Sprintf("X%d", i)
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := tc.add(c, names[k]); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			})
+			if allocs != 1 {
+				t.Fatalf("%s allocates %v objects per call, want 1 (the element)", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -37,7 +37,7 @@ func (c *Circuit) AddIsland(name, node string, q0, c0 float64) (*Island, error) 
 	if il.N == Ground {
 		return nil, fmt.Errorf("circuit: island %q cannot be the ground node", name)
 	}
-	return il, c.add(il)
+	return il, c.add(il, il.N)
 }
 
 // TunnelJunction is an ultrasmall metal-insulator-metal junction: a
@@ -73,5 +73,5 @@ func (c *Circuit) AddTunnelJunction(name, a, b string, farads, rt float64) (*Tun
 	if j.A == j.B {
 		return nil, fmt.Errorf("circuit: tunnel junction %q shorts node to itself", name)
 	}
-	return j, c.add(j)
+	return j, c.add(j, j.A, j.B)
 }

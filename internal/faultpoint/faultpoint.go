@@ -27,7 +27,7 @@ const (
 	StoreAppend   = "store.append"         // durable-journal record write
 	Compile       = "serve.compile"        // deck parse/compile on submit
 	WorkerRun     = "serve.worker.run"     // engine execution inside a worker
-	StreamWrite   = "serve.stream.write"   // one NDJSON chunk write
+	StreamWrite   = "serve.stream.write"   // one stream block write
 	CoordDispatch = "serve.coord.dispatch" // one shard dispatch to a replica
 )
 

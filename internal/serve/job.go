@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
 	"nanosim/internal/pipeline"
+	"nanosim/internal/trace"
 	"nanosim/internal/vary"
 	"nanosim/internal/wave"
 )
@@ -35,26 +37,52 @@ type job struct {
 	cancel context.CancelCauseFunc
 	done   chan struct{} // closed when the job reaches a terminal state
 
-	mu           sync.Mutex
-	info         JobInfo
-	result       *Result
-	waves        *wave.Set // stream payload (waveforms or mc envelopes)
-	wavesDropped bool      // payload evicted by the MaxWaveJobs bound
+	mu     sync.Mutex
+	info   JobInfo
+	result *Result
+	// mem is the in-memory stream payload of a finished job that has no
+	// spill (every job without a data dir, and one whose spill failed),
+	// until the MaxWaveJobs bound drops it. With a spill the file is the
+	// only copy and mem stays nil.
+	mem      *payload
+	hadWaves bool // the job produced a stream payload (410, not 204, once gone)
 }
 
-// hasWaves reports whether the job still holds a streamable payload.
-// Only finished jobs hold one, so eviction never races a running job.
-func (j *job) hasWaves() bool {
+// payload is a finished job's in-memory NDJSON stream: the wave set
+// until the first read encodes it, then only the encoded bytes.
+type payload struct {
+	mu   sync.Mutex
+	set  *wave.Set
+	body []byte
+	err  error // encode failure: body holds the complete lines before it
+}
+
+// bytes returns the encoded stream. The first call encodes the set and
+// releases it; concurrent first reads wait for that one encode.
+func (p *payload) bytes(chunkSamples int, met *metrics) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.set != nil {
+		var b bytes.Buffer
+		_, p.err = trace.WriteNDJSON(&b, p.set, chunkSamples)
+		p.body, p.set = b.Bytes(), nil
+		met.streamEncodes.Add(1)
+	}
+	return p.body, p.err
+}
+
+// hasMem reports whether the job holds an in-memory stream payload.
+func (j *job) hasMem() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.waves != nil && j.waves.Len() > 0
+	return j.mem != nil
 }
 
-// dropWaves releases the waveform payload, remembering that it existed
-// so the stream endpoint can answer 410 instead of 204.
-func (j *job) dropWaves() {
+// dropMem releases the in-memory stream payload; hadWaves stays set,
+// so the stream endpoint answers 410 instead of 204.
+func (j *job) dropMem() {
 	j.mu.Lock()
-	j.waves, j.wavesDropped = nil, true
+	j.mem = nil
 	j.mu.Unlock()
 }
 

@@ -271,8 +271,8 @@ func runLibrary(t *testing.T, src, kind string) (libraryAnswer, error) {
 }
 
 // streamedSeries decodes a job's NDJSON stream: signal names in arrival
-// order and every raw sample.
-func streamedSeries(t *testing.T, ts *httptest.Server, id string) ([]string, map[string]*trace.Chunk) {
+// order, every raw sample, and the body as read.
+func streamedSeries(t *testing.T, ts *httptest.Server, id string) ([]string, map[string]*trace.Chunk, []byte) {
 	t.Helper()
 	code, body := getRaw(t, ts.URL+"/v1/jobs/"+id+"/stream")
 	if code != http.StatusOK {
@@ -298,7 +298,7 @@ func streamedSeries(t *testing.T, ts *httptest.Server, id string) ([]string, map
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
 	}
-	return names, series
+	return names, series, body
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -322,6 +322,10 @@ func requireSameMap(t *testing.T, label, what string, got, want map[string]float
 // bit-identical to the library call with the documented options, and so
 // is the result's final map (node map for dcop, final table for step,
 // quantiles for mc). Where the library fails, the job must fail too.
+//
+// Every stream body is byte-identical four ways: from a memory-only
+// server, from a data-dir server, from that data-dir server after a
+// restart, and from trace.WriteNDJSON of the library's waves.
 //
 // It also checks that bad input never reaches an engine: every deck,
 // plus two the service once queued and then failed (a junction deck
@@ -356,6 +360,9 @@ func TestServeMatchesLibraryDeterministic(t *testing.T) {
 		names = append(names, bad.name)
 	}
 	_, ts := newTestServer(t, Config{Workers: 1})
+	dataDir := t.TempDir()
+	ds, dts := newTestServer(t, Config{Workers: 1, DataDir: dataDir})
+	bodies := map[string][]byte{} // data-dir job id -> stream body
 	for _, name := range names {
 		src := decks[name]
 		var served []string
@@ -393,7 +400,20 @@ func TestServeMatchesLibraryDeterministic(t *testing.T) {
 				requireSameStep(t, label, res.Step, want.step)
 				continue
 			}
-			got, series := streamedSeries(t, ts, info.ID)
+			got, series, body := streamedSeries(t, ts, info.ID)
+			var lib bytes.Buffer
+			if _, err := trace.WriteNDJSON(&lib, want.waves, 0); err != nil {
+				t.Fatalf("%s: encoding the library waves: %v", label, err)
+			}
+			if !bytes.Equal(body, lib.Bytes()) {
+				t.Fatalf("%s: memory-only stream (%d bytes) differs from the library's NDJSON (%d bytes)", label, len(body), lib.Len())
+			}
+			dinfo := submit(t, dts, SubmitRequest{Deck: src, Analysis: kind}, http.StatusAccepted)
+			waitState(t, dts, dinfo.ID, StateDone)
+			if code, dbody := getRaw(t, dts.URL+"/v1/jobs/"+dinfo.ID+"/stream"); code != http.StatusOK || !bytes.Equal(dbody, body) {
+				t.Fatalf("%s: data-dir stream HTTP %d, %d bytes; memory-only %d bytes", label, code, len(dbody), len(body))
+			}
+			bodies[dinfo.ID] = body
 			if !slices.Equal(got, want.waves.Names()) {
 				t.Fatalf("%s: streamed %v, library records %v", label, got, want.waves.Names())
 			}
@@ -420,6 +440,17 @@ func TestServeMatchesLibraryDeterministic(t *testing.T) {
 			case "mc":
 				requireSameMC(t, label, res.MC, want.mc)
 			}
+		}
+	}
+	if len(bodies) == 0 {
+		t.Fatal("no data-dir stream was compared")
+	}
+	dts.Close()
+	ds.Close()
+	_, rts := newTestServer(t, Config{Workers: 1, DataDir: dataDir})
+	for id, want := range bodies {
+		if code, got := getRaw(t, rts.URL+"/v1/jobs/"+id+"/stream"); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s after restart: HTTP %d, %d bytes; before %d bytes", id, code, len(got), len(want))
 		}
 	}
 }

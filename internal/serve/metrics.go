@@ -41,6 +41,7 @@ type metrics struct {
 	storeErrors    atomic.Int64 // journal/spill writes that failed
 	streamAborts   atomic.Int64 // streams cut off (slow reader, fault, gone client)
 	streamFromDisk atomic.Int64 // streams served from the spill
+	streamEncodes  atomic.Int64 // in-memory payloads encoded by a first read
 
 	mu        sync.Mutex
 	latency   map[string]*hist // per analysis kind, engine run time
@@ -260,8 +261,8 @@ type StreamMetrics struct {
 	// Aborts counts streams cut off early (slow reader past the write
 	// deadline, client gone, injected fault).
 	Aborts int64 `json:"aborts"`
-	// FromDisk counts streams served from the durable spill after the
-	// in-memory payload was evicted (or a restart).
+	// FromDisk counts streams served from the durable spill: with a
+	// data dir, every stream of a job whose spill succeeded.
 	FromDisk int64 `json:"from_disk"`
 }
 

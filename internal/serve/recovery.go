@@ -86,11 +86,11 @@ func (s *Server) restoreTerminal(rec *store.Record, info JobInfo) {
 		var res Result
 		if err := json.Unmarshal(rec.Result, &res); err == nil {
 			j.result = &res
-			// The in-memory payload died with the old process; remember
-			// it existed so the stream endpoint serves the spill (or
-			// answers 410, not 204, once the spill is pruned).
+			// Remember the job had a stream payload, so the stream
+			// endpoint serves its spill (or answers 410, not 204, once
+			// the spill is pruned).
 			if len(res.Signals) > 0 && res.Kind != "step" {
-				j.wavesDropped = true
+				j.hadWaves = true
 			}
 		} else {
 			s.met.storeErrors.Add(1)

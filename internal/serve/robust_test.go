@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"nanosim/internal/faultpoint"
+	"nanosim/internal/trace"
 )
 
 // submitFull POSTs a request with optional headers and returns the raw
@@ -51,7 +52,7 @@ func submitFull(t *testing.T, ts *httptest.Server, req SubmitRequest, hdr map[st
 }
 
 // getRaw fetches a URL and returns status and body bytes.
-func getRaw(t *testing.T, url string) (int, []byte) {
+func getRaw(t testing.TB, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -375,8 +376,9 @@ func TestTransientFailureRetries(t *testing.T) {
 
 func TestSlowStreamReaderIsCutOff(t *testing.T) {
 	// A reader that accepts the response and then stops reading must not
-	// pin the stream handler (and its payload) forever: each chunk write
-	// carries a deadline. The RC-ladder deck produces a multi-megabyte
+	// pin the stream handler (and its payload) forever: each block write
+	// carries a deadline, on the in-memory bytes path and on the spill
+	// file path alike. The RC-ladder deck produces a multi-megabyte
 	// payload — bigger than the kernel's send-buffer ceiling, so the
 	// handler's write genuinely blocks on the stalled reader.
 	var big strings.Builder
@@ -387,30 +389,47 @@ func TestSlowStreamReaderIsCutOff(t *testing.T) {
 		prev = fmt.Sprintf("n%d", i)
 	}
 	big.WriteString(".tran 0.02n 2000n\n.end\n")
-	s, ts := newTestServer(t, Config{Workers: 1, StreamWriteTimeout: 150 * time.Millisecond})
-	info := submit(t, ts, SubmitRequest{Deck: big.String()}, http.StatusAccepted)
-	waitState(t, ts, info.ID, StateDone)
+	for _, tc := range []struct {
+		name     string
+		dataDir  bool
+		fromDisk int64
+	}{{"memory-only", false, 0}, {"data-dir", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 1, StreamWriteTimeout: 150 * time.Millisecond}
+			if tc.dataDir {
+				cfg.DataDir = t.TempDir()
+			}
+			s, ts := newTestServer(t, cfg)
+			info := submit(t, ts, SubmitRequest{Deck: big.String()}, http.StatusAccepted)
+			waitState(t, ts, info.ID, StateDone)
 
-	// A tiny receive buffer closes the TCP window after a few KB, so the
-	// kernel cannot absorb the payload on the reader's behalf.
-	d := net.Dialer{Control: func(network, address string, c syscall.RawConn) error {
-		var serr error
-		if err := c.Control(func(fd uintptr) {
-			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
-		}); err != nil {
-			return err
-		}
-		return serr
-	}}
-	conn, err := d.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+			// A tiny receive buffer closes the TCP window after a few KB,
+			// so the kernel cannot absorb the payload on the reader's
+			// behalf.
+			d := net.Dialer{Control: func(network, address string, c syscall.RawConn) error {
+				var serr error
+				if err := c.Control(func(fd uintptr) {
+					serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
+				}); err != nil {
+					return err
+				}
+				return serr
+			}}
+			conn, err := d.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			fmt.Fprintf(conn, "GET /v1/jobs/%s/stream HTTP/1.1\r\nHost: nanosimd\r\n\r\n", info.ID)
+			// Read nothing: once the kernel buffers fill, the handler's
+			// next block write blocks, trips the deadline and aborts the
+			// stream.
+			waitFor(t, 15*time.Second, func() bool { return s.Metrics().Streams.Aborts > 0 })
+			if got := s.Metrics().Streams.FromDisk; got != tc.fromDisk {
+				t.Errorf("from_disk = %d, want %d", got, tc.fromDisk)
+			}
+		})
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "GET /v1/jobs/%s/stream HTTP/1.1\r\nHost: nanosimd\r\n\r\n", info.ID)
-	// Read nothing: once the kernel buffers fill, the handler's next
-	// chunk write blocks, trips the deadline and aborts the stream.
-	waitFor(t, 15*time.Second, func() bool { return s.Metrics().Streams.Aborts > 0 })
 }
 
 func TestMetricsSnapshotConsistentUnderLoad(t *testing.T) {
@@ -443,8 +462,9 @@ func TestMetricsSnapshotConsistentUnderLoad(t *testing.T) {
 }
 
 func TestEvictedWaveformsStreamFromSpill(t *testing.T) {
-	// Without a data dir the old behavior holds (410, covered by
-	// TestWaveformEvictionBound); with one, the payload survives on disk.
+	// Without a data dir MaxWaveJobs evicts (410, covered by
+	// TestWaveformEvictionBound); with one, the spill is every job's
+	// payload, so the bound drops nothing.
 	s, ts := newTestServer(t, Config{Workers: 1, MaxWaveJobs: 1, DataDir: t.TempDir()})
 	first := submit(t, ts, SubmitRequest{Deck: tranDeck, Fresh: true}, http.StatusAccepted)
 	waitState(t, ts, first.ID, StateDone)
@@ -469,7 +489,8 @@ func TestEvictedWaveformsStreamFromSpill(t *testing.T) {
 }
 
 func TestStreamChunksStillParseWithHook(t *testing.T) {
-	// The per-chunk deadline path must not change the wire format.
+	// The per-block deadline path must not change the wire format: one
+	// JSON chunk per line, ChunkSamples samples at most.
 	_, ts := newTestServer(t, Config{Workers: 1, ChunkSamples: 64})
 	info := submit(t, ts, SubmitRequest{Deck: tranDeck}, http.StatusAccepted)
 	waitState(t, ts, info.ID, StateDone)
@@ -480,16 +501,22 @@ func TestStreamChunksStillParseWithHook(t *testing.T) {
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lines := 0
+	lines, full := 0, 0
 	for sc.Scan() {
-		var c map[string]any
+		var c trace.Chunk
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			t.Fatalf("chunk %d: %v", lines, err)
 		}
+		if len(c.T) > 64 || len(c.V) != len(c.T) {
+			t.Fatalf("chunk %d of %s: %d/%d samples, want equal and at most 64", lines, c.Signal, len(c.T), len(c.V))
+		}
+		if len(c.T) == 64 {
+			full++
+		}
 		lines++
 	}
-	if sc.Err() != nil || lines == 0 {
-		t.Fatalf("stream: %v (%d lines)", sc.Err(), lines)
+	if sc.Err() != nil || lines == 0 || full == 0 {
+		t.Fatalf("stream: %v (%d lines, %d of 64 samples)", sc.Err(), lines, full)
 	}
 }
 

@@ -38,7 +38,7 @@ CD d 0 10f
 `
 
 // newTestServer wires a Server into an httptest front end.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -54,7 +54,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // submit POSTs a request and decodes the JobInfo; wantStatus guards the
 // HTTP status.
-func submit(t *testing.T, ts *httptest.Server, req SubmitRequest, wantStatus int) JobInfo {
+func submit(t testing.TB, ts *httptest.Server, req SubmitRequest, wantStatus int) JobInfo {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -81,7 +81,7 @@ func submit(t *testing.T, ts *httptest.Server, req SubmitRequest, wantStatus int
 }
 
 // getJSON decodes a GET response into out, returning the status code.
-func getJSON(t *testing.T, url string, out any) int {
+func getJSON(t testing.TB, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {

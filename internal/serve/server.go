@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -37,11 +39,11 @@ type Config struct {
 	// MaxJobs bounds the retained job records (default 1024; oldest
 	// finished jobs are evicted first).
 	MaxJobs int
-	// MaxWaveJobs bounds how many finished jobs keep their waveform
-	// payload in memory for re-streaming (default 64). Older finished
-	// jobs keep their status and scalar result; with a DataDir their
-	// payload is served from the disk spill instead, without one it is
-	// gone (410).
+	// MaxWaveJobs bounds how many finished jobs keep their stream
+	// payload in memory (default 64): the jobs of a server without a
+	// DataDir, and jobs whose spill failed. Older ones keep their status
+	// and scalar result, and their stream is gone (410). With a DataDir
+	// the spill is a job's only payload, bounded by MaxSpillWaves.
 	MaxWaveJobs int
 	// ChunkSamples bounds the samples per NDJSON stream chunk (default
 	// trace.DefaultChunkSamples).
@@ -57,7 +59,7 @@ type Config struct {
 	// across power loss, at a syscall per lifecycle event).
 	FsyncJournal bool
 	// MaxSpillWaves bounds the spilled waveform payloads retained on
-	// disk (default 256, oldest pruned first).
+	// disk (default 256, oldest spill pruned first).
 	MaxSpillWaves int
 
 	// JobTimeout bounds one job's wall-clock run time (0 = unlimited).
@@ -86,7 +88,7 @@ type Config struct {
 	// (0 = unlimited).
 	MaxClientJobs int
 
-	// StreamWriteTimeout bounds each NDJSON chunk write so a stalled
+	// StreamWriteTimeout bounds each stream block write so a stalled
 	// reader cannot pin a stream handler forever (default 30s).
 	StreamWriteTimeout time.Duration
 
@@ -191,15 +193,15 @@ type Server struct {
 	// each request, so the client itself carries no timeout.
 	httpc *http.Client
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string        // submission order, for listing and eviction
-	keys      map[string]*job // idempotency key → job
-	clients   map[string]int  // live (queued+running) jobs per client
-	nextID    int64
-	queued    int
-	running   int
-	withWaves int // finished jobs still holding a waveform payload
+	mu      sync.Mutex
+	jobs    map[string]*job
+	order   []string        // submission order, for listing and eviction
+	keys    map[string]*job // idempotency key → job
+	clients map[string]int  // live (queued+running) jobs per client
+	nextID  int64
+	queued  int
+	running int
+	memJobs []*job // finished jobs holding an in-memory payload, oldest first
 	// Job-lifecycle counters live under mu (not atomics) so a /metrics
 	// snapshot is consistent: submitted == queued+running+terminal at
 	// every instant an observer can see.
@@ -384,14 +386,22 @@ func (s *Server) worker() {
 
 // finish moves a job to a terminal state: journal and waveform spill
 // first, then counters and state together, then the done latch.
-// res/waves are nil except for done.
+// res/waves are nil except for done. A spilled payload lives only in
+// its spill file; without one the job keeps the set in memory until a
+// read encodes it.
 func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.Set, attempts int) {
 	// Journal first: once a status read, /metrics or a waiter can see the
 	// terminal state, the transition (result and waveform spill
 	// included) is already durable, so a kill -9 cannot re-queue work
 	// the service has acknowledged.
+	spilled := false
 	if s.store != nil {
-		s.journalTerminal(j, state, errMsg, res, waves, attempts)
+		spilled = s.journalTerminal(j, state, errMsg, res, waves, attempts)
+	}
+	hasWaves := waves != nil && waves.Len() > 0
+	var mem *payload
+	if hasWaves && !spilled {
+		mem = &payload{set: waves}
 	}
 
 	s.mu.Lock()
@@ -413,8 +423,8 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 	case StateCanceled:
 		s.canceled++
 	}
-	if waves != nil && waves.Len() > 0 {
-		s.withWaves++
+	if mem != nil {
+		s.memJobs = append(s.memJobs, j)
 	}
 	if j.client != "" {
 		if s.clients[j.client]--; s.clients[j.client] <= 0 {
@@ -426,7 +436,7 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 	j.info.State = state
 	j.info.Error = errMsg
 	j.info.Attempts = attempts
-	j.result, j.waves = res, waves
+	j.result, j.mem, j.hadWaves = res, mem, hasWaves
 	j.mu.Unlock()
 	s.mu.Unlock()
 
@@ -441,8 +451,8 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 // journalTerminal records a terminal transition durably: results (and
 // the spill of the waveform payload) for done jobs, an "interrupted"
 // marker — not "canceled" — for jobs cut short by a drain deadline, so
-// the next boot re-queues them.
-func (s *Server) journalTerminal(j *job, state, errMsg string, res *Result, waves *wave.Set, attempts int) {
+// the next boot re-queues them. It reports whether the payload spilled.
+func (s *Server) journalTerminal(j *job, state, errMsg string, res *Result, waves *wave.Set, attempts int) (spilled bool) {
 	var err error
 	switch {
 	case state == StateDone:
@@ -451,13 +461,13 @@ func (s *Server) journalTerminal(j *job, state, errMsg string, res *Result, wave
 			err = s.store.Result(j.id, raw)
 		}
 		if err == nil && waves != nil && waves.Len() > 0 {
-			_, serr := s.store.SpillWaves(j.id, func(w io.Writer) error {
+			// The spill is the one encode of this stream: every read
+			// copies the file.
+			_, err = s.store.SpillWaves(j.id, func(w io.Writer) error {
 				_, werr := trace.WriteNDJSON(w, waves, s.cfg.ChunkSamples)
 				return werr
 			})
-			if serr != nil {
-				err = serr
-			} else {
+			if spilled = err == nil; spilled {
 				s.store.PruneWaves(s.cfg.MaxSpillWaves)
 			}
 		}
@@ -469,6 +479,7 @@ func (s *Server) journalTerminal(j *job, state, errMsg string, res *Result, wave
 	if err != nil {
 		s.met.storeErrors.Add(1)
 	}
+	return spilled
 }
 
 // runOne moves a job through running to a terminal state, retrying
@@ -838,39 +849,46 @@ func (s *Server) journalSubmit(j *job, deckSrc string) error {
 }
 
 // evictJobsLocked drops the oldest finished job records above MaxJobs
-// and the oldest retained in-memory waveform payloads above MaxWaveJobs
-// (those jobs keep their status and scalar result; their waves remain
-// streamable from the disk spill when a DataDir is configured).
+// and the oldest in-memory stream payloads above MaxWaveJobs (those
+// jobs keep their status and scalar result). Both walks start at the
+// oldest entry and stop once the bound holds, so a submit touches only
+// the front of s.order: the job or two it evicts, plus any live jobs
+// parked ahead of them, which are never evicted.
 func (s *Server) evictJobsLocked() {
-	if len(s.jobs) > s.cfg.MaxJobs {
-		kept := s.order[:0]
-		for _, id := range s.order {
+	if excess := len(s.jobs) - s.cfg.MaxJobs; excess > 0 {
+		live, i := 0, 0 // the live jobs passed over move to s.order[:live]
+		for ; i < len(s.order) && excess > 0; i++ {
+			id := s.order[i]
 			j := s.jobs[id]
-			if len(s.jobs) > s.cfg.MaxJobs && j != nil && terminal(j.snapshot().State) {
-				if j.hasWaves() {
-					s.withWaves--
-				}
-				if s.keys[j.key] == j {
-					delete(s.keys, j.key)
-				}
-				delete(s.jobs, id)
+			if j == nil {
 				continue
 			}
-			kept = append(kept, id)
+			if !terminal(j.snapshot().State) {
+				s.order[live] = id
+				live++
+				continue
+			}
+			if j.hasMem() {
+				j.dropMem()
+				s.memJobs = slices.DeleteFunc(s.memJobs, func(m *job) bool { return m == j })
+			}
+			if s.keys[j.key] == j {
+				delete(s.keys, j.key)
+			}
+			delete(s.jobs, id)
+			excess--
 		}
-		s.order = kept
+		// Put the passed-over live jobs back, in order, just ahead of
+		// the entries the walk never reached.
+		cut := i - live
+		copy(s.order[cut:i], s.order[:live])
+		clear(s.order[:cut])
+		s.order = s.order[cut:]
 	}
-	// s.withWaves is maintained by finish, so the common case is a
-	// single comparison; the oldest-first walk only runs while over the
-	// bound.
-	for _, id := range s.order {
-		if s.withWaves <= s.cfg.MaxWaveJobs {
-			break
-		}
-		if j := s.jobs[id]; j != nil && j.hasWaves() {
-			j.dropWaves()
-			s.withWaves--
-		}
+	for len(s.memJobs) > s.cfg.MaxWaveJobs {
+		s.memJobs[0].dropMem()
+		s.memJobs[0] = nil
+		s.memJobs = s.memJobs[1:]
 	}
 }
 
@@ -960,20 +978,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	waves := j.waves
-	hadWaves := j.waves != nil || j.wavesDropped
+	mem, hadWaves := j.mem, j.hadWaves
 	j.mu.Unlock()
-	if waves != nil && waves.Len() > 0 {
-		s.streamSet(w, r, waves)
+	if mem != nil {
+		body, err := mem.bytes(s.cfg.ChunkSamples, s.met)
+		s.streamBlocks(w, r, bytes.NewReader(body), err)
 		return
 	}
-	// The in-memory payload was evicted (or the job predates this
-	// process): serve the disk spill when the store has one.
-	if s.store != nil {
+	if hadWaves && s.store != nil {
 		if rc, ok := s.store.OpenWaves(j.id); ok {
 			defer rc.Close()
 			s.met.streamFromDisk.Add(1)
-			s.streamFile(w, r, rc)
+			s.streamBlocks(w, r, rc, nil)
 			return
 		}
 	}
@@ -985,34 +1001,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// streamSet streams an in-memory wave set as NDJSON with per-chunk
-// write deadlines: a stalled reader is cut off after
-// StreamWriteTimeout instead of pinning the handler (and the payload)
-// forever, and client cancellation is honored between chunks. Workers
-// are never involved — streams run on the HTTP handler goroutine and
-// chunks alias the series storage, so per-stream memory stays bounded
-// by one encoder buffer.
-func (s *Server) streamSet(w http.ResponseWriter, r *http.Request, waves *wave.Set) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	_, err := trace.WriteNDJSONFunc(w, waves, s.cfg.ChunkSamples, func(int) error {
-		if err := faultpoint.Hit(faultpoint.StreamWrite); err != nil {
-			return err
-		}
-		if cerr := r.Context().Err(); cerr != nil {
-			return context.Cause(r.Context())
-		}
-		return rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
-	})
-	if err != nil {
-		s.met.streamAborts.Add(1)
-	}
-}
-
-// streamFile copies a spilled NDJSON payload with the same per-block
-// write deadlines as streamSet.
-func (s *Server) streamFile(w http.ResponseWriter, r *http.Request, src io.Reader) {
+// streamBlocks copies an encoded NDJSON stream (a job's spill file or
+// its in-memory bytes) to the client block by block. Each block write
+// carries a StreamWriteTimeout deadline, so a stalled reader is cut off
+// instead of pinning the handler forever; client cancellation and the
+// stream-write fault point are checked before each block. Workers are
+// never involved: streams run on the HTTP handler goroutine. encErr is
+// the error that cut the encoded stream short: the client gets the
+// complete lines before it, and the stream counts as aborted.
+func (s *Server) streamBlocks(w http.ResponseWriter, r *http.Request, src io.Reader, encErr error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -1036,7 +1033,7 @@ func (s *Server) streamFile(w http.ResponseWriter, r *http.Request, src io.Reade
 			_ = rc.Flush()
 		}
 		if rerr != nil {
-			if rerr != io.EOF {
+			if rerr != io.EOF || encErr != nil {
 				s.met.streamAborts.Add(1)
 			}
 			return

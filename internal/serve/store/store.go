@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,6 +102,13 @@ type Store struct {
 	spills, spillBytes   atomic.Int64
 	pruned               atomic.Int64
 	replayed, tornLines  atomic.Int64
+
+	// ring lists the spilled payload ids, oldest first, each once; it is
+	// seeded from waves/ at Open and kept by SpillWaves and PruneWaves,
+	// so bounding the spill never lists the directory.
+	ringMu sync.Mutex
+	ring   []string
+	inRing map[string]bool
 }
 
 const journalName = "journal.ndjson"
@@ -116,6 +124,9 @@ func Open(dir string, fsync bool) (*Store, map[string]*Record, error) {
 		}
 	}
 	s := &Store{dir: dir, fsync: fsync}
+	if err := s.seedRing(); err != nil {
+		return nil, nil, err
+	}
 	recs, torn, err := replay(filepath.Join(dir, journalName))
 	if err != nil {
 		return nil, nil, err
@@ -136,6 +147,52 @@ func Open(dir string, fsync bool) (*Store, map[string]*Record, error) {
 	}
 	s.f = f
 	return s, recs, nil
+}
+
+// seedRing builds the spill ring from waves/ by modification time
+// (ties by name) and removes the spill-* and deck-* temp files a crash
+// left behind mid-write: no later prune would see them.
+func (s *Store) seedRing() error {
+	type aged struct {
+		id  string
+		mod time.Time
+	}
+	var spilled []aged
+	for _, sub := range []string{"decks", "waves"} {
+		dir := filepath.Join(s.dir, sub)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		for _, e := range ents {
+			name := e.Name()
+			if strings.HasPrefix(name, "spill-") || strings.HasPrefix(name, "deck-") {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					return fmt.Errorf("store: %w", err)
+				}
+				continue
+			}
+			id, ok := strings.CutSuffix(name, ".ndjson")
+			if sub != "waves" || !ok || !e.Type().IsRegular() {
+				continue
+			}
+			if info, err := e.Info(); err == nil {
+				spilled = append(spilled, aged{id, info.ModTime()})
+			}
+		}
+	}
+	sort.Slice(spilled, func(i, j int) bool {
+		if a, b := spilled[i].mod, spilled[j].mod; !a.Equal(b) {
+			return a.Before(b)
+		}
+		return spilled[i].id < spilled[j].id
+	})
+	s.inRing = make(map[string]bool, len(spilled))
+	for _, a := range spilled {
+		s.ring = append(s.ring, a.id)
+		s.inRing[a.id] = true
+	}
+	return nil
 }
 
 // replay folds the journal into per-job records. Lines that fail to
@@ -331,6 +388,14 @@ func (s *Store) SpillWaves(id string, write func(io.Writer) error) (int64, error
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
+	s.ringMu.Lock()
+	if s.inRing[id] {
+		// A re-spill replaces the payload: it is now the newest.
+		s.ring = slices.DeleteFunc(s.ring, func(r string) bool { return r == id })
+	}
+	s.ring = append(s.ring, id)
+	s.inRing[id] = true
+	s.ringMu.Unlock()
 	s.spills.Add(1)
 	s.spillBytes.Add(size)
 	return size, nil
@@ -347,29 +412,21 @@ func (s *Store) OpenWaves(id string) (io.ReadCloser, bool) {
 }
 
 // PruneWaves drops the oldest spilled payloads beyond max, bounding the
-// data dir: retention is a ring of the most recent max results.
+// data dir: retention is a ring of the most recent max spills. Only
+// files the store spilled (or found at Open) count; the directory is
+// never listed.
 func (s *Store) PruneWaves(max int) {
 	if max <= 0 {
 		return
 	}
-	dir := filepath.Join(s.dir, "waves")
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) <= max {
-		return
-	}
-	type aged struct {
-		name string
-		mod  time.Time
-	}
-	files := make([]aged, 0, len(ents))
-	for _, e := range ents {
-		if info, err := e.Info(); err == nil && !e.IsDir() {
-			files = append(files, aged{e.Name(), info.ModTime()})
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	for i := 0; i+max < len(files); i++ {
-		if os.Remove(filepath.Join(dir, files[i].name)) == nil {
+	s.ringMu.Lock()
+	defer s.ringMu.Unlock()
+	for len(s.ring) > max {
+		id := s.ring[0]
+		s.ring[0] = ""
+		s.ring = s.ring[1:]
+		delete(s.inRing, id)
+		if os.Remove(s.wavePath(id)) == nil {
 			s.pruned.Add(1)
 		}
 	}

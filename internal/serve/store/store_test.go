@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -190,5 +191,102 @@ func TestWaveSpillAndPrune(t *testing.T) {
 	}
 	if _, ok := s.OpenWaves("job-err"); ok {
 		t.Fatal("failed spill left a payload")
+	}
+}
+
+// spillT spills payload under id and fails the test on error.
+func spillT(t *testing.T, s *Store, id, payload string) {
+	t.Helper()
+	if _, err := s.SpillWaves(id, func(w io.Writer) error {
+		_, err := io.WriteString(w, payload)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spilled reports which of ids have a payload on disk.
+func spilled(s *Store, ids ...string) []bool {
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		if rc, ok := s.OpenWaves(id); ok {
+			rc.Close()
+			out[i] = true
+		}
+	}
+	return out
+}
+
+func TestPruneWavesFollowsSpillOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	for _, id := range []string{"job-1", "job-2", "job-3"} {
+		spillT(t, s, id, id)
+	}
+	// A re-spill moves job-1 to the newest end; its mtime never decides.
+	spillT(t, s, "job-1", "again")
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, "waves", "job-1.ndjson"), old, old); err != nil {
+		t.Fatal(err)
+	}
+	// A file dropped behind the store's back is not in the ring: the
+	// directory is never listed, so it is neither counted nor pruned.
+	stray := filepath.Join(dir, "waves", "job-0.ndjson")
+	if err := os.WriteFile(stray, []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(stray, old, old); err != nil {
+		t.Fatal(err)
+	}
+	s.PruneWaves(2)
+	if got, want := spilled(s, "job-1", "job-2", "job-3"), []bool{true, false, true}; !slices.Equal(got, want) {
+		t.Fatalf("after PruneWaves(2) job-1/2/3 on disk = %v, want %v", got, want)
+	}
+	s.PruneWaves(1)
+	if got, want := spilled(s, "job-1", "job-3"), []bool{true, false}; !slices.Equal(got, want) {
+		t.Fatalf("after PruneWaves(1) job-1/3 on disk = %v, want %v", got, want)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("stray file pruned: %v", err)
+	}
+	if c := s.Counters(); c.WaveSpills != 4 || c.WavePruned != 2 {
+		t.Fatalf("counters = %+v, want 4 spills / 2 pruned", c)
+	}
+}
+
+func TestSpillRingSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	base := time.Now().Add(-time.Hour)
+	// Spill order job-3, job-1, job-2; mtimes say the same.
+	for i, id := range []string{"job-3", "job-1", "job-2"} {
+		spillT(t, s, id, id)
+		mod := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(filepath.Join(dir, "waves", id+".ndjson"), mod, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	// Temp files a crash left mid-spill and mid-deck-save.
+	leftovers := []string{filepath.Join(dir, "waves", "spill-123"), filepath.Join(dir, "decks", "deck-456")}
+	for _, p := range leftovers {
+		if err := os.WriteFile(p, []byte("half"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, _ := openT(t, dir)
+	for _, p := range leftovers {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("Open left %s behind (%v)", p, err)
+		}
+	}
+	s2.PruneWaves(2)
+	if got, want := spilled(s2, "job-3", "job-1", "job-2"), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after reopen + PruneWaves(2) job-3/1/2 on disk = %v, want %v", got, want)
+	}
+	spillT(t, s2, "job-4", "job-4")
+	s2.PruneWaves(2)
+	if got, want := spilled(s2, "job-1", "job-2", "job-4"), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after a new spill job-1/2/4 on disk = %v, want %v", got, want)
 	}
 }

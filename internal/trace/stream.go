@@ -27,8 +27,8 @@ type Chunk struct {
 
 // DefaultChunkSamples is the Reader's default per-chunk sample bound:
 // large enough that chunk framing is negligible against the float
-// payload, small enough that a consumer sees output promptly and a
-// proxy's write buffer flushes line by line.
+// payload, small enough that a consumer decodes one bounded line at a
+// time.
 const DefaultChunkSamples = 512
 
 // Reader incrementally walks a wave set, yielding bounded Chunks one at
@@ -92,24 +92,11 @@ func (r *Reader) Next() (Chunk, bool) {
 	return Chunk{}, false
 }
 
-// flusher is the subset of http.Flusher the writer uses; keeping it
-// structural avoids importing net/http here.
-type flusher interface{ Flush() }
-
-// WriteNDJSON streams every series of set to w as newline-delimited JSON
-// Chunks, flushing after each line when w implements Flush() (an
-// http.ResponseWriter behind a streaming handler). Returns the number of
-// chunks written.
+// WriteNDJSON encodes every series of set to w as newline-delimited
+// JSON Chunks and returns the number of chunks written. On an encode
+// error (encoding/json refuses non-finite samples) w holds every
+// complete line before the failing chunk and nothing of it.
 func WriteNDJSON(w io.Writer, set *wave.Set, chunkSamples int) (int, error) {
-	return WriteNDJSONFunc(w, set, chunkSamples, nil)
-}
-
-// WriteNDJSONFunc is WriteNDJSON with a per-chunk hook: pre (when
-// non-nil) runs before each chunk is encoded and aborts the stream by
-// returning an error. The serve layer uses it to arm a write deadline
-// per chunk and to honor client cancellation between chunks — the hook
-// runs before the write that would block on a stalled reader.
-func WriteNDJSONFunc(w io.Writer, set *wave.Set, chunkSamples int, pre func(chunk int) error) (int, error) {
 	enc := json.NewEncoder(w)
 	rd := NewReader(set, chunkSamples)
 	n := 0
@@ -118,18 +105,10 @@ func WriteNDJSONFunc(w io.Writer, set *wave.Set, chunkSamples int, pre func(chun
 		if !ok {
 			return n, nil
 		}
-		if pre != nil {
-			if err := pre(n); err != nil {
-				return n, fmt.Errorf("trace: NDJSON chunk %d: %w", n, err)
-			}
-		}
 		// Encode appends the newline NDJSON needs.
 		if err := enc.Encode(c); err != nil {
 			return n, fmt.Errorf("trace: NDJSON chunk %d: %w", n, err)
 		}
 		n++
-		if f, ok := w.(flusher); ok {
-			f.Flush()
-		}
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -74,17 +75,9 @@ func TestReaderChunksAndReassembles(t *testing.T) {
 	}
 }
 
-// flushCounter wraps a builder counting Flush calls.
-type flushCounter struct {
-	strings.Builder
-	flushes int
-}
-
-func (f *flushCounter) Flush() { f.flushes++ }
-
 func TestWriteNDJSON(t *testing.T) {
 	set := buildSet(t, map[string]int{"v(a)": 5, "v(b)": 1})
-	var out flushCounter
+	var out strings.Builder
 	n, err := WriteNDJSON(&out, set, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +85,6 @@ func TestWriteNDJSON(t *testing.T) {
 	// v(a): 5 samples at 2/chunk = 3 chunks; v(b): 1 chunk.
 	if n != 4 {
 		t.Errorf("wrote %d chunks, want 4", n)
-	}
-	if out.flushes != n {
-		t.Errorf("%d flushes for %d chunks", out.flushes, n)
 	}
 	sc := bufio.NewScanner(strings.NewReader(out.String()))
 	lines := 0
@@ -107,5 +97,24 @@ func TestWriteNDJSON(t *testing.T) {
 	}
 	if lines != n {
 		t.Errorf("%d NDJSON lines, want %d", lines, n)
+	}
+}
+
+func TestWriteNDJSONStopsAtNonFinite(t *testing.T) {
+	// encoding/json refuses NaN: the writer stops at the chunk holding
+	// it, and the output keeps exactly the complete lines before it.
+	set := buildSet(t, map[string]int{"v(a)": 5, "v(b)": 1})
+	set.Get("v(a)").V[3] = math.NaN()
+	var out strings.Builder
+	n, err := WriteNDJSON(&out, set, 2)
+	if err == nil {
+		t.Fatal("NaN sample encoded without error")
+	}
+	if n != 1 {
+		t.Fatalf("wrote %d chunks before the failure, want 1", n)
+	}
+	const first = `{"signal":"v(a)","seq":0,"t":[0,1],"v":[0,2]}` + "\n"
+	if out.String() != first {
+		t.Fatalf("output before the failure = %q, want %q", out.String(), first)
 	}
 }
