@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -14,7 +13,6 @@ import (
 	"nanosim/internal/netparse"
 	"nanosim/internal/part"
 	"nanosim/internal/pipeline"
-	"nanosim/internal/trace"
 	"nanosim/internal/vary"
 	"nanosim/internal/wave"
 )
@@ -40,49 +38,26 @@ type job struct {
 	mu     sync.Mutex
 	info   JobInfo
 	result *Result
-	// mem is the in-memory stream payload of a finished job that has no
-	// spill (every job without a data dir, and one whose spill failed),
-	// until the MaxWaveJobs bound drops it. With a spill the file is the
-	// only copy and mem stays nil.
-	mem      *payload
+	// waves is the in-memory stream payload of a finished job that has
+	// no spill (every job without a data dir, and one whose spill
+	// failed), until the MaxWaveJobs bound drops it. Each read encodes
+	// it. With a spill the file is the only copy and waves stays nil.
+	waves    *wave.Set
 	hadWaves bool // the job produced a stream payload (410, not 204, once gone)
 }
 
-// payload is a finished job's in-memory NDJSON stream: the wave set
-// until the first read encodes it, then only the encoded bytes.
-type payload struct {
-	mu   sync.Mutex
-	set  *wave.Set
-	body []byte
-	err  error // encode failure: body holds the complete lines before it
-}
-
-// bytes returns the encoded stream. The first call encodes the set and
-// releases it; concurrent first reads wait for that one encode.
-func (p *payload) bytes(chunkSamples int, met *metrics) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.set != nil {
-		var b bytes.Buffer
-		_, p.err = trace.WriteNDJSON(&b, p.set, chunkSamples)
-		p.body, p.set = b.Bytes(), nil
-		met.streamEncodes.Add(1)
-	}
-	return p.body, p.err
-}
-
-// hasMem reports whether the job holds an in-memory stream payload.
-func (j *job) hasMem() bool {
+// hasWaves reports whether the job holds an in-memory stream payload.
+func (j *job) hasWaves() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.mem != nil
+	return j.waves != nil
 }
 
-// dropMem releases the in-memory stream payload; hadWaves stays set,
+// dropWaves releases the in-memory stream payload; hadWaves stays set,
 // so the stream endpoint answers 410 instead of 204.
-func (j *job) dropMem() {
+func (j *job) dropWaves() {
 	j.mu.Lock()
-	j.mem = nil
+	j.waves = nil
 	j.mu.Unlock()
 }
 

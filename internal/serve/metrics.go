@@ -41,7 +41,6 @@ type metrics struct {
 	storeErrors    atomic.Int64 // journal/spill writes that failed
 	streamAborts   atomic.Int64 // streams cut off (slow reader, fault, gone client)
 	streamFromDisk atomic.Int64 // streams served from the spill
-	streamEncodes  atomic.Int64 // in-memory payloads encoded by a first read
 
 	mu        sync.Mutex
 	latency   map[string]*hist // per analysis kind, engine run time

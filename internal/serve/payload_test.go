@@ -26,83 +26,60 @@ func jobByID(t *testing.T, s *Server, id string) *job {
 	return j
 }
 
-func TestDataDirJobKeepsOnlyItsSpill(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir()})
-	info := submit(t, ts, SubmitRequest{Deck: tranDeck}, http.StatusAccepted)
-	waitState(t, ts, info.ID, StateDone)
-	j := jobByID(t, s, info.ID)
-	j.mu.Lock()
-	mem, had := j.mem, j.hadWaves
-	j.mu.Unlock()
-	if mem != nil || !had {
-		t.Fatalf("finished data-dir job: in-memory payload %v, hadWaves %v; want none and true", mem != nil, had)
-	}
-	var first []byte
-	for i := 0; i < 3; i++ {
-		code, body := getRaw(t, ts.URL+"/v1/jobs/"+info.ID+"/stream")
-		if code != http.StatusOK || len(body) == 0 {
-			t.Fatalf("read %d: HTTP %d, %d bytes", i, code, len(body))
-		}
-		if i == 0 {
-			first = body
-		} else if !bytes.Equal(body, first) {
-			t.Fatalf("read %d streamed %d bytes, read 0 %d", i, len(body), len(first))
-		}
-	}
-	if m := s.Metrics(); m.Streams.FromDisk != 3 || m.Streams.Aborts != 0 {
-		t.Fatalf("streams = %+v, want 3 from disk and no aborts", m.Streams)
-	}
-	if n := s.met.streamEncodes.Load(); n != 0 {
-		t.Fatalf("%d in-memory encodes for a spilled job, want 0", n)
-	}
-}
-
-func TestConcurrentFirstReadsEncodeOnce(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	streamed := submit(t, ts, SubmitRequest{Deck: tranDeck}, http.StatusAccepted)
-	idle := submit(t, ts, SubmitRequest{Deck: mcDeck}, http.StatusAccepted)
-	waitState(t, ts, streamed.ID, StateDone)
-	waitState(t, ts, idle.ID, StateDone)
-
-	const readers = 8
-	bodies := make([][]byte, readers)
-	var wg sync.WaitGroup
-	for i := range bodies {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/v1/jobs/" + streamed.ID + "/stream")
-			if err != nil {
-				t.Error(err)
-				return
+func TestFinishedJobPayload(t *testing.T) {
+	// With a data dir a finished job keeps no wave set: the spill is the
+	// only copy, and every read copies it. Without one the job keeps its
+	// set and each read encodes it. Concurrent reads stream equal bytes
+	// either way; under -race they also show the set is only read.
+	for _, tc := range []struct {
+		name     string
+		dataDir  bool
+		fromDisk int64
+	}{{"memory-only", false, 0}, {"data-dir", true, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 1}
+			if tc.dataDir {
+				cfg.DataDir = t.TempDir()
 			}
-			defer resp.Body.Close()
-			var b bytes.Buffer
-			if _, err := b.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
-				t.Errorf("reader %d: HTTP %d, %v", i, resp.StatusCode, err)
+			s, ts := newTestServer(t, cfg)
+			info := submit(t, ts, SubmitRequest{Deck: tranDeck}, http.StatusAccepted)
+			waitState(t, ts, info.ID, StateDone)
+			j := jobByID(t, s, info.ID)
+			j.mu.Lock()
+			kept, had := j.waves != nil, j.hadWaves
+			j.mu.Unlock()
+			if kept == tc.dataDir || !had {
+				t.Fatalf("finished job: wave set kept %v, hadWaves %v; want kept %v and true", kept, had, !tc.dataDir)
 			}
-			bodies[i] = b.Bytes()
-		}()
-	}
-	wg.Wait()
-	for i, b := range bodies {
-		if len(b) == 0 || !bytes.Equal(b, bodies[0]) {
-			t.Fatalf("reader %d streamed %d bytes, reader 0 %d", i, len(b), len(bodies[0]))
-		}
-	}
-	if n := s.met.streamEncodes.Load(); n != 1 {
-		t.Fatalf("%d concurrent first reads encoded %d times, want once", readers, n)
-	}
-	// The encoded bytes replace the set; a job nobody streams is never
-	// encoded.
-	for id, encoded := range map[string]bool{streamed.ID: true, idle.ID: false} {
-		p := jobByID(t, s, id).mem
-		p.mu.Lock()
-		hasSet, hasBody := p.set != nil, p.body != nil
-		p.mu.Unlock()
-		if hasSet == encoded || hasBody != encoded {
-			t.Errorf("%s: set kept %v, bytes kept %v; want encoded=%v", id, hasSet, hasBody, encoded)
-		}
+			bodies := make([][]byte, 3)
+			var wg sync.WaitGroup
+			for i := range bodies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Get(ts.URL + "/v1/jobs/" + info.ID + "/stream")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					var b bytes.Buffer
+					if _, err := b.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+						t.Errorf("read %d: HTTP %d, %v", i, resp.StatusCode, err)
+					}
+					bodies[i] = b.Bytes()
+				}()
+			}
+			wg.Wait()
+			for i, b := range bodies {
+				if len(b) == 0 || !bytes.Equal(b, bodies[0]) {
+					t.Fatalf("read %d streamed %d bytes, read 0 %d", i, len(b), len(bodies[0]))
+				}
+			}
+			if m := s.Metrics(); m.Streams.FromDisk != tc.fromDisk || m.Streams.Aborts != 0 {
+				t.Fatalf("streams = %+v, want %d from disk and no aborts", m.Streams, tc.fromDisk)
+			}
+		})
 	}
 }
 
@@ -173,7 +150,7 @@ func TestEvictionKeepsLiveJobsAtTheFront(t *testing.T) {
 	add := func(id, state string, mem bool) *job {
 		j := &job{id: id, key: "key-" + id, info: JobInfo{ID: id, State: state}}
 		if mem {
-			j.mem, j.hadWaves = &payload{}, true
+			j.waves, j.hadWaves = wave.NewSet(), true
 			s.memJobs = append(s.memJobs, j)
 		}
 		s.jobs[id] = j
@@ -203,7 +180,7 @@ func TestEvictionKeepsLiveJobsAtTheFront(t *testing.T) {
 	add("job-6", StateQueued, false)
 	add("job-7", StateDone, false)
 	check("live job still at the front", []string{"job-1", "job-6", "job-7"})
-	if j5.hasMem() {
+	if j5.hasWaves() {
 		t.Fatal("an evicted job still counts a payload")
 	}
 	// The front job finishes and goes; the live job behind it stays, in
@@ -212,7 +189,7 @@ func TestEvictionKeepsLiveJobsAtTheFront(t *testing.T) {
 	j8 := add("job-8", StateDone, true)
 	j9 := add("job-9", StateDone, true)
 	check("live job between evicted ones", []string{"job-6", "job-8", "job-9"}, j9)
-	if j8.hasMem() || !j8.hadWaves {
+	if j8.hasWaves() || !j8.hadWaves {
 		t.Fatal("the older payload was not dropped by MaxWaveJobs")
 	}
 }

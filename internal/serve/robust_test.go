@@ -377,7 +377,7 @@ func TestTransientFailureRetries(t *testing.T) {
 func TestSlowStreamReaderIsCutOff(t *testing.T) {
 	// A reader that accepts the response and then stops reading must not
 	// pin the stream handler (and its payload) forever: each block write
-	// carries a deadline, on the in-memory bytes path and on the spill
+	// carries a deadline, on the in-memory encode path and on the spill
 	// file path alike. The RC-ladder deck produces a multi-megabyte
 	// payload — bigger than the kernel's send-buffer ceiling, so the
 	// handler's write genuinely blocks on the stalled reader.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,7 +58,9 @@ type Config struct {
 	// across power loss, at a syscall per lifecycle event).
 	FsyncJournal bool
 	// MaxSpillWaves bounds the spilled waveform payloads retained on
-	// disk (default 256, oldest spill pruned first).
+	// disk (default 256, oldest spill pruned first). With a DataDir it
+	// alone bounds how many finished jobs stay streamable, whatever
+	// MaxWaveJobs is: a job whose spill was pruned answers 410.
 	MaxSpillWaves int
 
 	// JobTimeout bounds one job's wall-clock run time (0 = unlimited).
@@ -387,7 +388,7 @@ func (s *Server) worker() {
 // finish moves a job to a terminal state: journal and waveform spill
 // first, then counters and state together, then the done latch.
 // res/waves are nil except for done. A spilled payload lives only in
-// its spill file; without one the job keeps the set in memory until a
+// its spill file; without one the job keeps the set in memory and each
 // read encodes it.
 func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.Set, attempts int) {
 	// Journal first: once a status read, /metrics or a waiter can see the
@@ -399,9 +400,8 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 		spilled = s.journalTerminal(j, state, errMsg, res, waves, attempts)
 	}
 	hasWaves := waves != nil && waves.Len() > 0
-	var mem *payload
-	if hasWaves && !spilled {
-		mem = &payload{set: waves}
+	if !hasWaves || spilled {
+		waves = nil
 	}
 
 	s.mu.Lock()
@@ -423,7 +423,7 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 	case StateCanceled:
 		s.canceled++
 	}
-	if mem != nil {
+	if waves != nil {
 		s.memJobs = append(s.memJobs, j)
 	}
 	if j.client != "" {
@@ -436,7 +436,7 @@ func (s *Server) finish(j *job, state, errMsg string, res *Result, waves *wave.S
 	j.info.State = state
 	j.info.Error = errMsg
 	j.info.Attempts = attempts
-	j.result, j.mem, j.hadWaves = res, mem, hasWaves
+	j.result, j.waves, j.hadWaves = res, waves, hasWaves
 	j.mu.Unlock()
 	s.mu.Unlock()
 
@@ -868,8 +868,8 @@ func (s *Server) evictJobsLocked() {
 				live++
 				continue
 			}
-			if j.hasMem() {
-				j.dropMem()
+			if j.hasWaves() {
+				j.dropWaves()
 				s.memJobs = slices.DeleteFunc(s.memJobs, func(m *job) bool { return m == j })
 			}
 			if s.keys[j.key] == j {
@@ -886,7 +886,7 @@ func (s *Server) evictJobsLocked() {
 		s.order = s.order[cut:]
 	}
 	for len(s.memJobs) > s.cfg.MaxWaveJobs {
-		s.memJobs[0].dropMem()
+		s.memJobs[0].dropWaves()
 		s.memJobs[0] = nil
 		s.memJobs = s.memJobs[1:]
 	}
@@ -978,18 +978,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	mem, hadWaves := j.mem, j.hadWaves
+	waves, hadWaves := j.waves, j.hadWaves
 	j.mu.Unlock()
-	if mem != nil {
-		body, err := mem.bytes(s.cfg.ChunkSamples, s.met)
-		s.streamBlocks(w, r, bytes.NewReader(body), err)
+	if waves != nil {
+		// Encode on this read, straight into the block loop through a
+		// pipe: the stream holds one chunk line at a time, never the
+		// whole body. Closing the reader stops an encoder the loop cut
+		// off, so the goroutine never outlives the handler.
+		pr, pw := io.Pipe()
+		encoded := make(chan struct{})
+		go func() {
+			defer close(encoded)
+			_, err := trace.WriteNDJSON(pw, waves, s.cfg.ChunkSamples)
+			pw.CloseWithError(err)
+		}()
+		s.streamBlocks(w, r, pr)
+		pr.Close()
+		<-encoded
 		return
 	}
 	if hadWaves && s.store != nil {
 		if rc, ok := s.store.OpenWaves(j.id); ok {
 			defer rc.Close()
 			s.met.streamFromDisk.Add(1)
-			s.streamBlocks(w, r, rc, nil)
+			s.streamBlocks(w, r, rc)
 			return
 		}
 	}
@@ -1002,14 +1014,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamBlocks copies an encoded NDJSON stream (a job's spill file or
-// its in-memory bytes) to the client block by block. Each block write
-// carries a StreamWriteTimeout deadline, so a stalled reader is cut off
-// instead of pinning the handler forever; client cancellation and the
-// stream-write fault point are checked before each block. Workers are
-// never involved: streams run on the HTTP handler goroutine. encErr is
-// the error that cut the encoded stream short: the client gets the
-// complete lines before it, and the stream counts as aborted.
-func (s *Server) streamBlocks(w http.ResponseWriter, r *http.Request, src io.Reader, encErr error) {
+// the pipe its in-memory set is encoded into) to the client block by
+// block. Each block write carries a StreamWriteTimeout deadline, so a
+// stalled reader is cut off instead of pinning the handler forever;
+// client cancellation and the stream-write fault point are checked
+// before each block. Workers are never involved: streams run on the
+// HTTP handler goroutine. A read error (an encode failure ends the
+// pipe with one) leaves the client the complete lines before it and
+// counts the stream as aborted.
+func (s *Server) streamBlocks(w http.ResponseWriter, r *http.Request, src io.Reader) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -1033,7 +1046,7 @@ func (s *Server) streamBlocks(w http.ResponseWriter, r *http.Request, src io.Rea
 			_ = rc.Flush()
 		}
 		if rerr != nil {
-			if rerr != io.EOF || encErr != nil {
+			if rerr != io.EOF {
 				s.met.streamAborts.Add(1)
 			}
 			return
