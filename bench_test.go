@@ -12,13 +12,17 @@ package nanosim_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nanosim"
 	"nanosim/internal/dcop"
 	"nanosim/internal/device"
 	"nanosim/internal/exp"
+	"nanosim/internal/hier"
+	"nanosim/internal/hier/hiertest"
 	"nanosim/internal/linsolve"
+	"nanosim/internal/netparse"
 	"nanosim/internal/randx"
 	"nanosim/internal/sde"
 	"nanosim/internal/spmat"
@@ -330,6 +334,45 @@ func BenchmarkDeviceEval(b *testing.B) {
 			_ = rtt.I(1.1)
 		}
 	})
+}
+
+// BenchmarkPartitionedRun times the partitioned transient run of
+// nanosim.Transient's route (hier.CompileTransient, then Run) on
+// perfbench's subckt-pipeline shape — n stages of one 4x4 RTD-mesh
+// .subckt, .tran 0.1n 10n — at two sizes. Parse and compile stay
+// outside the timer. It reports the time and block solves per attempted
+// step (Steps+Rejected): with dormancy the bookkeeping of a step
+// follows the awake blocks, so ns/attempt should not grow in step with
+// n while solves/attempt stays flat.
+func BenchmarkPartitionedRun(b *testing.B) {
+	for _, n := range []int{256, 2048} {
+		b.Run(fmt.Sprintf("stages=%d", n), func(b *testing.B) {
+			src := strings.TrimSuffix(hiertest.PipelineDeck(n, 4, 4), ".end\n") + ".tran 0.1n 10n\n.end\n"
+			var attempts, solves int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				deck, err := netparse.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr := deck.Analyses[0]
+				opt := nanosim.TranOptions{TStop: tr.TStop, HInit: tr.TStep, Partition: &nanosim.PartitionOptions{}}
+				ct, _, err := hier.CompileTransient(deck.Circuit, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := ct.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				attempts += int64(res.Stats.Steps + res.Stats.Rejected)
+				solves += res.Stats.BlockSolves
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+			b.ReportMetric(float64(solves)/float64(attempts), "solves/attempt")
+		})
+	}
 }
 
 // BenchmarkWienerPath times stochastic path generation (ABL-EM

@@ -13,11 +13,12 @@ package core
 // engine (localErrorOf / stepBoundOf), so a partitioned run obeys the
 // same eq (10)-(12) accuracy contract; the partition changes *where*
 // work happens, not the error control. The per-step bookkeeping passes
-// — error control, state copies, recording — visit only the blocks that
-// are awake (plus, for eq (10), those awake at the last accepted step):
-// every other row is bit-frozen, and a frozen row or device contributes
-// exactly nothing to those passes, so skipping it changes no waveform
-// sample, state or step decision.
+// — wake checks, error control, state copies, recording — visit only the
+// blocks that are awake (plus, for eq (10), those awake at the last
+// accepted step) and the inputs that changed: every other row is
+// bit-frozen, and a frozen row or device contributes exactly nothing to
+// those passes, so skipping it changes no waveform sample, state or step
+// decision.
 
 import (
 	"fmt"
@@ -98,6 +99,14 @@ type pBlock struct {
 	iSrcs   []device.Waveform
 	iSrcVal []float64 // current-source values applied at the last assembly
 	brk     *breakSet // breakpoints of internal + stiff-remote sources
+
+	// Wake state (wake.go), built by run(): the boundary inputs of other
+	// blocks that read this block's rows, whether a source input can
+	// move (is not device.DC), and, while asleep, the next breakpoint
+	// (-Inf once a boundary input drifted).
+	readers []bndReader
+	movable bool
+	wakeAt  float64
 }
 
 // partEngine integrates a torn circuit from TStart to TStop.
@@ -120,17 +129,33 @@ type partEngine struct {
 	vScale  float64
 	dormTol float64
 
+	// ttTears lists the tears through a two-terminal device, the only
+	// ones with per-step state (a resistor tear's conductance is fixed).
+	ttTears []int
+
 	stats      Stats
 	rec        *trace.Recorder
 	startFlops flop.Snapshot
 
-	// Awake-set bookkeeping, reused every step: active/activeIdx are the
-	// blocks awake in this attempt, wasActive those awake at the last
-	// accepted step, scanIdx the union (the eq (10) scan), and awakeRows
-	// the rows accepted from the awake blocks.
-	active, wasActive  []bool
-	activeIdx, scanIdx []int
-	awakeRows          []int
+	// Awake-set bookkeeping, reused every step and kept in block order:
+	// active/activeIdx are the blocks awake in this attempt, wasIdx those
+	// awake at the last accepted step, scanIdx the union (the eq (10)
+	// scan), and awakeRows the rows accepted from the awake blocks.
+	// mergeIdx is scratch for merging newly woken blocks into activeIdx.
+	active                     []bool
+	activeIdx, scanIdx, wasIdx []int
+	mergeIdx                   []int
+	awakeRows                  []int
+
+	// Wake bookkeeping (wake.go): the blocks woken in this attempt, the
+	// dormant blocks with a source input that can move, and the dormant
+	// blocks by next breakpoint.
+	woken    []int
+	polled   []int
+	sleeping sleepHeap
+	// afterWake, when set, runs after every wake pass; the wake-set test
+	// checks the awake set against a full scan there.
+	afterWake func(t, h float64)
 }
 
 func newPartEngine(sys *stamp.System, p *part.Partition, opt Options) (*partEngine, error) {
@@ -155,6 +180,11 @@ func newPartEngine(sys *stamp.System, p *part.Partition, opt Options) (*partEngi
 	e.tearGeq = make([]float64, nt)
 	e.tearDG = make([]float64, nt)
 	e.tearGPred = make([]float64, nt)
+	for i := range p.Tears {
+		if p.Tears[i].TT != nil {
+			e.ttTears = append(e.ttTears, i)
+		}
+	}
 
 	e.blocks = make([]*pBlock, 0, len(p.Blocks))
 	for _, blk := range p.Blocks {
@@ -398,12 +428,10 @@ func (e *partEngine) predictFET(b *pBlock, k int, f stamp.FETRef, h float64) flo
 
 // predictTears fills tearGPred for this attempt from the tear-device
 // histories (no model evaluations — the slope was cached on accept).
+// Resistor tears keep the constant conductance set at seed time.
 func (e *partEngine) predictTears(h float64) {
-	for i := range e.par.Tears {
+	for _, i := range e.ttTears {
 		tr := &e.par.Tears[i]
-		if tr.TT == nil {
-			continue // resistor: constant, set at seed time
-		}
 		g := e.tearGeq[i]
 		if !e.opt.NoPredictor && e.hPrev > 0 {
 			vNow := e.x[tr.A] - e.x[tr.B]
@@ -422,37 +450,6 @@ func (e *partEngine) predictTears(h float64) {
 		}
 		e.tearGPred[i] = g
 	}
-}
-
-// wantSolve decides whether a block participates in this step: active
-// blocks always do; a dormant block wakes on an upcoming breakpoint of
-// its own (or stiff-remote) sources, on a boundary voltage that drifted
-// past the threshold since the block last solved, or on a source value
-// that did the same.
-func (e *partEngine) wantSolve(b *pBlock, t, h float64) bool {
-	if !e.dormancy || !b.dormant {
-		return true
-	}
-	if b.brk.upcoming(t, h) {
-		return true
-	}
-	for i, row := range b.bndRows {
-		if math.Abs(e.x[row]-b.bndVal[i]) > e.dormTol {
-			return true
-		}
-	}
-	tn := t + h
-	for j, w := range b.vSrcs {
-		if math.Abs(w.At(tn)-b.vSrcVal[j]) > e.dormTol {
-			return true
-		}
-	}
-	for j, w := range b.iSrcs {
-		if e.iSourceDrifted(w.At(tn), b.iSrcVal[j]) {
-			return true
-		}
-	}
-	return false
 }
 
 // iSourceDrifted is the current-source wake criterion: relative to the
@@ -593,12 +590,12 @@ func (e *partEngine) refreshBlock(b *pBlock) {
 
 // run integrates from TStart to TStop with the global adaptive step.
 //
-// Each step runs on the calling goroutine: wake checks and tear
-// prediction, then loops over the awake blocks in index order for the
-// block-local passes (assemble and solve, corrector passes, capacitor
-// currents, device refresh), with error control, dormancy and recording
-// between them. DESIGN.md §13 records why no worker pool splits the
-// passes.
+// Each step runs on the calling goroutine: tear prediction and the
+// event-driven wake pass (wake.go), then loops over the awake blocks in
+// index order for the block-local passes (assemble and solve, corrector
+// passes, capacitor currents, device refresh), with error control,
+// dormancy and recording between them. DESIGN.md §13 records why no
+// worker pool splits the passes.
 func (e *partEngine) run() (*Result, error) {
 	opt := e.opt
 	if opt.FC != nil {
@@ -618,10 +615,7 @@ func (e *partEngine) run() (*Result, error) {
 	}
 	e.rec.Sample(t, e.x)
 	e.indexBlockRows()
-	e.active = make([]bool, len(e.blocks))
-	e.wasActive = make([]bool, len(e.blocks))
-	e.activeIdx = make([]int, 0, len(e.blocks))
-	e.scanIdx = make([]int, 0, len(e.blocks))
+	e.indexWake()
 	e.awakeRows = make([]int, 0, len(e.x))
 	// From here on xNew equals x on the rows of every block that sits an
 	// attempt out: only awake blocks write xNew, x takes exactly those
@@ -679,7 +673,7 @@ func (e *partEngine) run() (*Result, error) {
 		}
 		e.refreshTears()
 		e.rec.SampleRows(t, e.x, e.awakeRows)
-		e.updateDormancy(h)
+		e.updateDormancy(t, h)
 		if opt.FixedStep {
 			hCruise = opt.HInit
 		} else {
@@ -745,41 +739,6 @@ func (e *partEngine) solveBlock(bi int, t float64, kind string) error {
 	return nil
 }
 
-// wake decides which blocks solve in this attempt (wantSolve) and clears
-// the dormancy of those that wake. Wake checks are the one per-step
-// pass that visits every block.
-func (e *partEngine) wake(t, h float64) {
-	for bi, b := range e.blocks {
-		act := e.wantSolve(b, t, h)
-		e.active[bi] = act
-		if !act {
-			e.stats.BlockSkips++
-			continue
-		}
-		if b.dormant {
-			b.dormant = false
-			b.quiet = 0
-		}
-	}
-	e.listAwake()
-}
-
-// listAwake lists the blocks awake in this attempt (activeIdx) and the
-// blocks eq (10) must scan (scanIdx): the awake ones plus those awake at
-// the last accepted step, whose rows still differ from xPrev.
-func (e *partEngine) listAwake() {
-	e.activeIdx = e.activeIdx[:0]
-	e.scanIdx = e.scanIdx[:0]
-	for bi, act := range e.active {
-		if act {
-			e.activeIdx = append(e.activeIdx, bi)
-		}
-		if act || e.wasActive[bi] {
-			e.scanIdx = append(e.scanIdx, bi)
-		}
-	}
-}
-
 // localError is the eq (10) proxy over the scanIdx blocks. Every other
 // node row is frozen in x, xPrev and xNew, where eq (10) reads exactly 0,
 // so the maximum equals the full scan's.
@@ -807,8 +766,9 @@ func (e *partEngine) stepBound(h float64) float64 {
 
 // acceptRows advances the accepted state over the rows that can have
 // moved — xPrev <- x over the scanIdx blocks, then x <- xNew over the
-// awake ones, whose rows it lists in awakeRows for the recorder — and
-// remembers this step's awake set. Every other row already holds one
+// awake ones, whose rows it lists in awakeRows for the recorder —
+// remembers this step's awake set and checks the dormant readers of the
+// rows it wrote for boundary drift. Every other row already holds one
 // value in all three vectors.
 func (e *partEngine) acceptRows() {
 	for _, bi := range e.scanIdx {
@@ -823,18 +783,16 @@ func (e *partEngine) acceptRows() {
 	for _, r := range e.awakeRows {
 		e.x[r] = e.xNew[r]
 	}
-	copy(e.wasActive, e.active)
+	e.wasIdx = append(e.wasIdx[:0], e.activeIdx...)
+	e.checkReaders()
 }
 
 // refreshTears re-evaluates tear-device conductances at the accepted
 // state when either adjacent block was active (both-dormant tears are
 // frozen by construction).
 func (e *partEngine) refreshTears() {
-	for i := range e.par.Tears {
+	for _, i := range e.ttTears {
 		tr := &e.par.Tears[i]
-		if tr.TT == nil {
-			continue
-		}
 		if !e.active[tr.BlockA] && !e.active[tr.BlockB] {
 			continue
 		}
@@ -844,12 +802,13 @@ func (e *partEngine) refreshTears() {
 }
 
 // updateDormancy advances each active block's quiet streak after an
-// accepted step of size h and puts it to sleep once the streak is long
-// enough.
-func (e *partEngine) updateDormancy(h float64) {
+// accepted step of size h, ending at t, and puts it to sleep once the
+// streak is long enough; sleepers leave activeIdx.
+func (e *partEngine) updateDormancy(t, h float64) {
 	if !e.dormancy {
 		return
 	}
+	awake := e.activeIdx[:0]
 	for _, bi := range e.activeIdx {
 		b := e.blocks[bi]
 		maxDx := 0.0
@@ -868,16 +827,19 @@ func (e *partEngine) updateDormancy(h float64) {
 		} else {
 			b.quiet = 0
 		}
-		if b.quiet >= dormantAfter {
-			b.dormant = true
-			if e.opt.Trapezoidal {
-				// A quiescent capacitor carries ~no current; zeroing the
-				// trapezoidal state kills the ±i companion ringing that
-				// would otherwise be replayed stale on wake.
-				for i := range b.capI {
-					b.capI[i] = 0
-				}
+		if b.quiet < dormantAfter {
+			awake = append(awake, bi)
+			continue
+		}
+		e.sleep(bi, t)
+		if e.opt.Trapezoidal {
+			// A quiescent capacitor carries ~no current; zeroing the
+			// trapezoidal state kills the ±i companion ringing that
+			// would otherwise be replayed stale on wake.
+			for i := range b.capI {
+				b.capI[i] = 0
 			}
 		}
 	}
+	e.activeIdx = awake
 }

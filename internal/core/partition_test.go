@@ -451,21 +451,27 @@ func TestAwakeSetScansMatchFullScan(t *testing.T) {
 		t.Fatalf("deck lacks a torn RTD (%v) or a remote gate (%v)", tornRTD, remoteGate)
 	}
 	full := fullScanSet(e.sys)
-	e.active = make([]bool, len(e.blocks))
-	e.wasActive = make([]bool, len(e.blocks))
+	active := make([]bool, len(e.blocks))
+	wasActive := make([]bool, len(e.blocks))
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5000; trial++ {
+		e.activeIdx, e.scanIdx = e.activeIdx[:0], e.scanIdx[:0]
 		for bi := range e.blocks {
-			e.active[bi] = rng.Intn(3) == 0
-			e.wasActive[bi] = rng.Intn(3) == 0
+			active[bi] = rng.Intn(3) == 0
+			wasActive[bi] = rng.Intn(3) == 0
+			if active[bi] {
+				e.activeIdx = append(e.activeIdx, bi)
+			}
+			if active[bi] || wasActive[bi] {
+				e.scanIdx = append(e.scanIdx, bi)
+			}
 		}
-		e.listAwake()
 		for bi, b := range e.blocks {
 			for _, r := range b.rows {
 				e.x[r], e.xPrev[r], e.xNew[r] = rng.Float64(), rng.Float64(), rng.Float64()
-				if !e.active[bi] {
+				if !active[bi] {
 					e.xNew[r] = e.x[r]
-					if !e.wasActive[bi] {
+					if !wasActive[bi] {
 						e.xPrev[r] = e.x[r]
 					}
 				}

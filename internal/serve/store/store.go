@@ -338,7 +338,11 @@ func (s *Store) SaveDeck(hash, src string) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	if err := writeFileAtomic(path, []byte(src)); err != nil {
+	err = writeFileAtomic(path, "deck-*", func(f *os.File) error {
+		_, err := io.WriteString(f, src)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.deckWrites.Add(1)
@@ -366,26 +370,19 @@ func (s *Store) wavePath(id string) string {
 // writer callback (temp file + rename, so a crash mid-spill leaves no
 // half payload behind).
 func (s *Store) SpillWaves(id string, write func(io.Writer) error) (int64, error) {
-	path := s.wavePath(id)
-	tmp, err := os.CreateTemp(filepath.Dir(path), "spill-*")
+	var size int64
+	err := writeFileAtomic(s.wavePath(id), "spill-*", func(f *os.File) error {
+		bw := bufio.NewWriter(f)
+		if err := write(bw); err != nil {
+			return fmt.Errorf("spilling %s: %w", id, err)
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		size, _ = f.Seek(0, io.SeekEnd)
+		return nil
+	})
 	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := write(bw); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: spilling %s: %w", id, err)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	size, _ := tmp.Seek(0, io.SeekEnd)
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	s.ringMu.Lock()
@@ -464,20 +461,24 @@ func (s *Store) Close() error {
 	return err
 }
 
-// writeFileAtomic writes via temp + rename so readers never observe a
-// partial file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "deck-*")
+// writeFileAtomic writes path via a temp file named by pattern in the
+// same directory, filled by fill, closed and renamed over path, so
+// readers never observe a partial file. Only a failure removes the temp
+// file: after the rename its name is gone.
+func writeFileAtomic(path, pattern string, fill func(*os.File) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	err = fill(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -154,7 +154,8 @@ func TestDeckSaveLoad(t *testing.T) {
 }
 
 func TestWaveSpillAndPrune(t *testing.T) {
-	s, _ := openT(t, t.TempDir())
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
 	for i, id := range []string{"job-1", "job-2", "job-3"} {
 		payload := strings.Repeat("x", 10+i)
 		if _, err := s.SpillWaves(id, func(w io.Writer) error {
@@ -185,13 +186,35 @@ func TestWaveSpillAndPrune(t *testing.T) {
 	if c := s.Counters(); c.WaveSpills != 3 || c.WavePruned != 1 || c.WaveSpillBytes != 10+11+12 {
 		t.Fatalf("counters = %+v", c)
 	}
-	// A failed spill leaves nothing behind.
+	// A successful spill leaves only its payload, a failed one nothing:
+	// no spill-* temp file either way.
+	want := []string{"job-2.ndjson", "job-3.ndjson"}
+	if got := waveFiles(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("waves/ after spills = %v, want %v", got, want)
+	}
 	if _, err := s.SpillWaves("job-err", func(io.Writer) error { return errors.New("no") }); err == nil {
 		t.Fatal("failed spill reported success")
 	}
 	if _, ok := s.OpenWaves("job-err"); ok {
 		t.Fatal("failed spill left a payload")
 	}
+	if got := waveFiles(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("waves/ after a failed spill = %v, want %v", got, want)
+	}
+}
+
+// waveFiles lists the file names in the data dir's waves/, sorted.
+func waveFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "waves"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // spillT spills payload under id and fails the test on error.
