@@ -315,31 +315,19 @@ func requireSameMap(t *testing.T, label, what string, got, want map[string]float
 	}
 }
 
-// TestServeMatchesLibraryDeterministic checks that nanosimd answers what
-// the library answers: for every testdata deck (plus a voltage-sourced
-// .em deck and a deck mixing .tran, .em, '.mc em' and .step) and every
-// kind the service runs on it, every streamed raw sample is
-// bit-identical to the library call with the documented options, and so
-// is the result's final map (node map for dcop, final table for step,
-// quantiles for mc). Where the library fails, the job must fail too.
-//
-// Every stream body is byte-identical four ways: from a memory-only
-// server, from a data-dir server, from that data-dir server after a
-// restart, and from trace.WriteNDJSON of the library's waves.
-//
-// It also checks that bad input never reaches an engine: every deck,
-// plus two the service once queued and then failed (a junction deck
-// with a .tran card, a .vary with an unknown DIST=), is submitted as
-// every kind, and a kind the deck cannot run must be refused with a 4xx
-// at submit. A job that fails must not fail on an element its engine
-// cannot stamp or on an unknown distribution.
-func TestServeMatchesLibraryDeterministic(t *testing.T) {
+// libraryDecks returns the decks TestServeMatchesLibraryDeterministic
+// submits, in order: a voltage-sourced .em deck, a deck mixing .tran,
+// .em, '.mc em' and .step, every testdata deck, and two decks the
+// service once queued and then failed (a junction deck with a .tran
+// card, a .vary with an unknown DIST=).
+func libraryDecks(t *testing.T) (names []string, decks map[string]string) {
+	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.sp"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no testdata decks: %v", err)
 	}
-	decks := map[string]string{"em-source": emSourceDeck, "batch-rule": batchRuleDeck}
-	names := []string{"em-source", "batch-rule"}
+	decks = map[string]string{"em-source": emSourceDeck, "batch-rule": batchRuleDeck}
+	names = []string{"em-source", "batch-rule"}
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {
@@ -359,6 +347,29 @@ func TestServeMatchesLibraryDeterministic(t *testing.T) {
 		decks[bad.name] = src
 		names = append(names, bad.name)
 	}
+	return names, decks
+}
+
+// TestServeMatchesLibraryDeterministic checks that nanosimd answers what
+// the library answers: for every testdata deck (plus a voltage-sourced
+// .em deck and a deck mixing .tran, .em, '.mc em' and .step) and every
+// kind the service runs on it, every streamed raw sample is
+// bit-identical to the library call with the documented options, and so
+// is the result's final map (node map for dcop, final table for step,
+// quantiles for mc). Where the library fails, the job must fail too.
+//
+// Every stream body is byte-identical four ways: from a memory-only
+// server, from a data-dir server, from that data-dir server after a
+// restart, and from trace.WriteNDJSON of the library's waves.
+//
+// It also checks that bad input never reaches an engine: every deck,
+// plus two the service once queued and then failed (a junction deck
+// with a .tran card, a .vary with an unknown DIST=), is submitted as
+// every kind, and a kind the deck cannot run must be refused with a 4xx
+// at submit. A job that fails must not fail on an element its engine
+// cannot stamp or on an unknown distribution.
+func TestServeMatchesLibraryDeterministic(t *testing.T) {
+	names, decks := libraryDecks(t)
 	_, ts := newTestServer(t, Config{Workers: 1})
 	dataDir := t.TempDir()
 	ds, dts := newTestServer(t, Config{Workers: 1, DataDir: dataDir})
