@@ -99,9 +99,11 @@ func finishWith(s *Server, id string, waves *wave.Set) {
 }
 
 func TestEncodeFailureServesCompleteLines(t *testing.T) {
-	// encoding/json refuses non-finite samples. The spill fails and
-	// counts a store error; a read serves the complete chunk lines
-	// before the failing one, then counts a stream abort.
+	// JSON has no NaN or Inf. The spill fails and counts a store error;
+	// a read serves the complete chunk lines before the failing one,
+	// then counts a stream abort. The failed spill retires its segment,
+	// which holds no other payload and goes; the next spill starts a
+	// new one.
 	waves := wave.NewSet()
 	for _, name := range []string{"v(a)", "v(b)"} {
 		sr := wave.NewSeries(name, 3)
@@ -136,10 +138,25 @@ func TestEncodeFailureServesCompleteLines(t *testing.T) {
 		if m.StoreErrors != tc.storeErrors {
 			t.Fatalf("data dir %v: store errors = %d, want %d", dataDir, m.StoreErrors, tc.storeErrors)
 		}
-		if dataDir {
-			if _, err := os.Stat(filepath.Join(cfg.DataDir, "waves", "job-nan.ndjson")); !os.IsNotExist(err) {
-				t.Fatalf("failed spill left a payload: %v", err)
-			}
+		if !dataDir {
+			continue
+		}
+		if ents, err := os.ReadDir(filepath.Join(cfg.DataDir, "waves")); err != nil || len(ents) != 0 {
+			t.Fatalf("waves/ after the failed spill: %d files, %v; want none", len(ents), err)
+		}
+		good := wave.NewSet()
+		sr := wave.NewSeries("v(a)", 1)
+		sr.MustAppend(0, 1)
+		if err := good.Add(sr); err != nil {
+			t.Fatal(err)
+		}
+		finishWith(s, "job-good", good)
+		const goodLine = `{"signal":"v(a)","seq":0,"last":true,"t":[0],"v":[1]}` + "\n"
+		if code, body := getRaw(t, ts.URL+"/v1/jobs/job-good/stream"); code != http.StatusOK || string(body) != goodLine {
+			t.Fatalf("spill after the failed one: HTTP %d, body %q", code, body)
+		}
+		if m := s.Metrics(); m.Store.WaveFiles != 2 || m.Streams.FromDisk != 1 {
+			t.Fatalf("after a failed and a good spill: %d segment files, %d streams from disk; want 2 and 1", m.Store.WaveFiles, m.Streams.FromDisk)
 		}
 	}
 }

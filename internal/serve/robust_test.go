@@ -8,9 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -196,6 +199,112 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	code, body := getRaw(t, ts2.URL+"/v1/jobs/"+info.ID+"/stream")
 	if code != http.StatusOK || len(body) == 0 {
 		t.Errorf("restored stream: HTTP %d, %d bytes", code, len(body))
+	}
+}
+
+// copyDir copies the files of src, one level of subdirectories deep,
+// into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestParentLayoutDataDirStreams(t *testing.T) {
+	// testdata/parent-datadir was written by the per-job spill layout:
+	// job-1 ran tranDeck and job-2 mcDeck, each spilled to
+	// waves/<id>.ndjson, and the result records carry no location. It
+	// must replay, and stream and answer what a fresh run does.
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "parent-datadir"), dir)
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, MaxSpillWaves: 1})
+	_, fresh := newTestServer(t, Config{Workers: 1})
+	for id, deck := range map[string]string{"job-1": tranDeck, "job-2": mcDeck} {
+		ref := submit(t, fresh, SubmitRequest{Deck: deck}, http.StatusAccepted)
+		waitState(t, fresh, ref.ID, StateDone)
+		_, wantRes := getRaw(t, fresh.URL+"/v1/jobs/"+ref.ID+"/result")
+		_, wantBody := getRaw(t, fresh.URL+"/v1/jobs/"+ref.ID+"/stream")
+		if info := waitState(t, ts, id, StateDone); info.Requeued {
+			t.Fatalf("%s requeued", id)
+		}
+		if code, res := getRaw(t, ts.URL+"/v1/jobs/"+id+"/result"); code != http.StatusOK || !bytes.Equal(res, wantRes) {
+			t.Fatalf("%s result: HTTP %d, equal to a fresh run's %v", id, code, bytes.Equal(res, wantRes))
+		}
+		if code, body := getRaw(t, ts.URL+"/v1/jobs/"+id+"/stream"); code != http.StatusOK || !bytes.Equal(body, wantBody) {
+			t.Fatalf("%s stream: HTTP %d, %d bytes; a fresh run streams %d", id, code, len(body), len(wantBody))
+		}
+	}
+	// The adopted files are older than any segment's payload: one new
+	// spill under MaxSpillWaves 1 prunes both.
+	info := submit(t, ts, SubmitRequest{Deck: tranDeck, Fresh: true}, http.StatusAccepted)
+	waitState(t, ts, info.ID, StateDone)
+	if ents, err := os.ReadDir(filepath.Join(dir, "waves")); err != nil || len(ents) != 1 || ents[0].Name() != "seg-0.ndjson" {
+		t.Fatalf("waves/ after a new spill: %v, %v; want seg-0.ndjson alone", ents, err)
+	}
+	if code, _ := getRaw(t, ts.URL+"/v1/jobs/job-1/stream"); code != http.StatusGone {
+		t.Fatalf("pruned job-1 stream: HTTP %d, want 410", code)
+	}
+	if m := s.Metrics(); m.Store.WaveFiles != 1 || m.Store.Replayed != 2 {
+		t.Fatalf("store counters %+v", *m.Store)
+	}
+}
+
+func TestTornSegmentTailJobReruns(t *testing.T) {
+	// A crash mid-spill leaves a torn tail in the segment and no result
+	// record for it. After a restart the tail is never served: the
+	// finished job streams what it streamed before, the cut job re-runs
+	// and spills to a new segment, and the torn one is left as it was.
+	t.Cleanup(faultpoint.Reset)
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	done := submit(t, ts1, SubmitRequest{Deck: tranDeck}, http.StatusAccepted)
+	waitState(t, ts1, done.ID, StateDone)
+	_, want := getRaw(t, ts1.URL+"/v1/jobs/"+done.ID+"/stream")
+	faultpoint.Set(faultpoint.WorkerRun, faultpoint.Fault{Delay: 400 * time.Millisecond, Times: 1})
+	cut := submit(t, ts1, SubmitRequest{Deck: tranDeck, Fresh: true}, http.StatusAccepted)
+	waitState(t, ts1, cut.ID, StateRunning)
+	s1.kill()
+	faultpoint.Reset()
+	seg := filepath.Join(dir, "waves", "seg-0.ndjson")
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := want[:len(want)/3] // the cut job's spill, a third written
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if info := waitState(t, ts2, cut.ID, StateDone); !info.Requeued {
+		t.Fatal("the job cut mid-spill was not re-run")
+	}
+	for _, id := range []string{done.ID, cut.ID} {
+		if code, body := getRaw(t, ts2.URL+"/v1/jobs/"+id+"/stream"); code != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("%s after restart: HTTP %d, %d bytes; want %d", id, code, len(body), len(want))
+		}
+	}
+	if st, err := os.Stat(seg); err != nil || st.Size() != int64(len(want)+len(torn)) {
+		t.Fatalf("torn segment after restart: %v, %v; want it untouched at %d bytes", st, err, len(want)+len(torn))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "waves", "seg-1.ndjson")); err != nil {
+		t.Fatalf("the re-run did not spill to a new segment: %v", err)
 	}
 }
 

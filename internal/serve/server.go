@@ -457,20 +457,26 @@ func (s *Server) journalTerminal(j *job, state, errMsg string, res *Result, wave
 	switch {
 	case state == StateDone:
 		var raw json.RawMessage
-		if raw, err = json.Marshal(res); err == nil {
-			err = s.store.Result(j.id, raw)
+		if raw, err = json.Marshal(res); err != nil {
+			break
 		}
-		if err == nil && waves != nil && waves.Len() > 0 {
+		var loc *store.Loc
+		if waves != nil && waves.Len() > 0 {
 			// The spill is the one encode of this stream: every read
-			// copies the file.
-			_, err = s.store.SpillWaves(j.id, func(w io.Writer) error {
+			// copies its section of a segment. It is on disk before the
+			// result record that locates it is journaled.
+			l, serr := s.store.SpillWaves(j.id, func(w io.Writer) error {
 				_, werr := trace.WriteNDJSON(w, waves, s.cfg.ChunkSamples)
 				return werr
 			})
-			if spilled = err == nil; spilled {
+			if spilled = serr == nil; spilled {
+				loc = &l
 				s.store.PruneWaves(s.cfg.MaxSpillWaves)
+			} else {
+				s.met.storeErrors.Add(1)
 			}
 		}
+		err = s.store.Result(j.id, raw, loc)
 	case state == StateCanceled && errors.Is(context.Cause(j.ctx), errDrainCheckpoint):
 		err = s.store.State(j.id, "interrupted", errMsg, attempts, false)
 	default:

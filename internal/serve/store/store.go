@@ -3,9 +3,10 @@
 // directory and spill-to-disk waveform payloads, all under one data
 // directory:
 //
-//	<dir>/journal.ndjson   one JSON event per line, append-only
-//	<dir>/decks/<hash>.sp  submitted deck sources, one per DeckHash
-//	<dir>/waves/<id>.ndjson spilled waveform payloads (trace.Chunk lines)
+//	<dir>/journal.ndjson        one JSON event per line, append-only
+//	<dir>/decks/<hash>.sp       submitted deck sources, one per DeckHash
+//	<dir>/waves/seg-<n>.ndjson  spilled waveform payloads (trace.Chunk
+//	                            lines), appended back to back
 //
 // On restart the server replays the journal: terminal jobs come back
 // with their scalar results, non-terminal jobs come back marked
@@ -14,6 +15,17 @@
 // mid-write — is skipped, not fatal: everything journaled before it
 // replays.
 //
+// A spill appends one job's payload to a segment no other spill is
+// writing, and the job's result record carries its location (file,
+// offset, length): the record is the spill's commit point, so bytes a
+// crash left after the last recorded payload are never served. A
+// process appends only to segments it created. Payloads are retained
+// per job, newest first; a segment is unlinked once it is retired (past
+// 4 MiB, after a failed spill, or created by an earlier process) and
+// none of its payloads is retained. A data dir written before segments
+// existed keeps its waves/<id>.ndjson files, each adopted as one
+// whole-file payload older than any segment's.
+//
 // The store journals serve-layer documents as raw JSON so this package
 // stays free of the serve package's wire types (and the import cycle
 // that would bring).
@@ -21,6 +33,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,6 +41,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,8 +65,18 @@ type Event struct {
 	Error    string `json:"error,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 	Requeue  bool   `json:"requeue,omitempty"`
-	// result field ("result" events imply state done)
+	// result fields ("result" events imply state done): the result
+	// document, and where the job's spilled payload lives
 	Result json.RawMessage `json:"result,omitempty"`
+	Spill  *Loc            `json:"spill,omitempty"`
+}
+
+// Loc locates a spilled payload: Len bytes at offset Off of a file
+// under waves/.
+type Loc struct {
+	File string `json:"file"`
+	Off  int64  `json:"off"`
+	Len  int64  `json:"len"`
 }
 
 // Record is one job's replayed state: the submit document plus the last
@@ -82,6 +106,10 @@ type Counters struct {
 	WaveSpills     int64 `json:"wave_spills"`
 	WaveSpillBytes int64 `json:"wave_spill_bytes"`
 	WavePruned     int64 `json:"wave_pruned"`
+	// WaveFiles counts the segment files spills created; WaveSpillMs is
+	// the wall time spent inside SpillWaves, encode included.
+	WaveFiles   int64   `json:"wave_files"`
+	WaveSpillMs float64 `json:"wave_spill_ms"`
 	// Replayed counts job records recovered at Open; TornLines counts
 	// undecodable journal tail lines skipped by the replay.
 	Replayed  int64 `json:"replayed"`
@@ -101,17 +129,49 @@ type Store struct {
 	deckWrites           atomic.Int64
 	spills, spillBytes   atomic.Int64
 	pruned               atomic.Int64
+	waveFiles, spillNs   atomic.Int64
 	replayed, tornLines  atomic.Int64
 
-	// ring lists the spilled payload ids, oldest first, each once; it is
-	// seeded from waves/ at Open and kept by SpillWaves and PruneWaves,
-	// so bounding the spill never lists the directory.
-	ringMu sync.Mutex
-	ring   []string
-	inRing map[string]bool
+	// wavesMu guards the spill ring and the segments. ring lists the
+	// retained payload ids, oldest first, each once; locs maps each to
+	// its location. Bounding the spill never lists the directory.
+	wavesMu sync.Mutex
+	ring    []string
+	locs    map[string]Loc
+	segs    map[string]*segment // every waves/ file a retained payload or a spiller uses
+	free    []*segment          // open segments no spill is writing
+	nextSeg int                 // number of the next segment to create
 }
 
-const journalName = "journal.ndjson"
+// segment is one file of spilled payloads. A spill owns it while it
+// appends: a segment is on the free list or with exactly one spiller.
+type segment struct {
+	name    string
+	f       *os.File      // nil once retired
+	w       *bufio.Writer // the segment's one buffered writer
+	size    int64         // bytes appended, flushed or buffered
+	live    int           // retained payloads in this file
+	retired bool          // never appended to again; unlinked when live drops to 0
+}
+
+// Write appends to the segment through its buffered writer.
+func (g *segment) Write(p []byte) (int, error) {
+	n, err := g.w.Write(p)
+	g.size += int64(n)
+	return n, err
+}
+
+const (
+	journalName = "journal.ndjson"
+	// segmentMax is the size past which a segment is retired: large
+	// enough that creating files is rare (serve-mixed payloads are
+	// about 90 KiB), small enough that a partly pruned segment costs
+	// little disk.
+	segmentMax = 4 << 20
+	// segmentBuf is each segment's write buffer: one flush per spill
+	// of a typical payload.
+	segmentBuf = 64 << 10
+)
 
 // Open creates (or reopens) the store at dir and replays the journal,
 // returning the recovered records keyed by job id. fsync selects
@@ -123,12 +183,12 @@ func Open(dir string, fsync bool) (*Store, map[string]*Record, error) {
 			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{dir: dir, fsync: fsync}
-	if err := s.seedRing(); err != nil {
+	s := &Store{dir: dir, fsync: fsync, locs: map[string]Loc{}, segs: map[string]*segment{}}
+	recs, spills, torn, err := replay(filepath.Join(dir, journalName))
+	if err != nil {
 		return nil, nil, err
 	}
-	recs, torn, err := replay(filepath.Join(dir, journalName))
-	if err != nil {
+	if err := s.seedRing(spills); err != nil {
 		return nil, nil, err
 	}
 	s.replayed.Store(int64(len(recs)))
@@ -149,15 +209,21 @@ func Open(dir string, fsync bool) (*Store, map[string]*Record, error) {
 	return s, recs, nil
 }
 
-// seedRing builds the spill ring from waves/ by modification time
-// (ties by name) and removes the spill-* and deck-* temp files a crash
-// left behind mid-write: no later prune would see them.
-func (s *Store) seedRing() error {
+// seedRing rebuilds the spill ring at Open and removes the spill-* and
+// deck-* temp files an older process left mid-write. The ring holds
+// the whole-file payloads of the per-job layout (waves/<id>.ndjson, by
+// modification time, ties by name), then the journaled locations in
+// journal order. Every segment found is retired: this process appends
+// only to segments it creates, so a tail a crash tore stays
+// unreferenced. A segment no retained payload references, and a
+// location past the end of its file, are dropped.
+func (s *Store) seedRing(spills []spillRef) error {
 	type aged struct {
 		id  string
 		mod time.Time
 	}
-	var spilled []aged
+	var whole []aged
+	sizes := map[string]int64{}
 	for _, sub := range []string{"decks", "waves"} {
 		dir := filepath.Join(s.dir, sub)
 		ents, err := os.ReadDir(dir)
@@ -172,47 +238,119 @@ func (s *Store) seedRing() error {
 				}
 				continue
 			}
-			id, ok := strings.CutSuffix(name, ".ndjson")
+			base, ok := strings.CutSuffix(name, ".ndjson")
 			if sub != "waves" || !ok || !e.Type().IsRegular() {
 				continue
 			}
-			if info, err := e.Info(); err == nil {
-				spilled = append(spilled, aged{id, info.ModTime()})
+			info, err := e.Info()
+			if err != nil {
+				continue
 			}
+			if num, ok := strings.CutPrefix(base, "seg-"); ok {
+				if n, err := strconv.Atoi(num); err == nil {
+					s.nextSeg = max(s.nextSeg, n+1)
+					sizes[name] = info.Size()
+					continue
+				}
+			}
+			whole = append(whole, aged{base, info.ModTime()})
+			sizes[name] = info.Size()
 		}
 	}
-	sort.Slice(spilled, func(i, j int) bool {
-		if a, b := spilled[i].mod, spilled[j].mod; !a.Equal(b) {
+	sort.Slice(whole, func(i, j int) bool {
+		if a, b := whole[i].mod, whole[j].mod; !a.Equal(b) {
 			return a.Before(b)
 		}
-		return spilled[i].id < spilled[j].id
+		return whole[i].id < whole[j].id
 	})
-	s.inRing = make(map[string]bool, len(spilled))
-	for _, a := range spilled {
-		s.ring = append(s.ring, a.id)
-		s.inRing[a.id] = true
+	for _, a := range whole {
+		name := a.id + ".ndjson"
+		s.retain(a.id, Loc{File: name, Len: sizes[name]})
+	}
+	for _, sp := range spills {
+		if size, ok := sizes[sp.loc.File]; ok && sp.loc.Off >= 0 && sp.loc.Len >= 0 && sp.loc.Off+sp.loc.Len <= size {
+			s.retain(sp.id, sp.loc)
+		}
+	}
+	for name := range sizes {
+		if g := s.segs[name]; g != nil {
+			g.retired = true
+		} else if err := os.Remove(filepath.Join(s.dir, "waves", name)); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
 	}
 	return nil
 }
 
-// replay folds the journal into per-job records. Lines that fail to
+// retain makes loc id's newest payload (caller holds wavesMu, or owns
+// the store during Open). A payload id already had is dropped first.
+func (s *Store) retain(id string, loc Loc) {
+	if _, ok := s.locs[id]; ok {
+		s.ring = slices.DeleteFunc(s.ring, func(r string) bool { return r == id })
+		s.drop(id)
+	}
+	s.ring = append(s.ring, id)
+	s.locs[id] = loc
+	g := s.segs[loc.File]
+	if g == nil {
+		g = &segment{name: loc.File}
+		s.segs[loc.File] = g
+	}
+	g.live++
+}
+
+// drop forgets id's payload and unlinks its file once the file is
+// retired and holds no other retained payload (caller holds wavesMu and
+// has taken id out of the ring).
+func (s *Store) drop(id string) {
+	loc := s.locs[id]
+	delete(s.locs, id)
+	g := s.segs[loc.File]
+	if g.live--; g.live == 0 && g.retired {
+		s.unlink(g)
+	}
+}
+
+// unlink removes a retired segment that no payload references. A
+// stream that opened it before keeps reading its open file.
+func (s *Store) unlink(g *segment) {
+	delete(s.segs, g.name)
+	_ = os.Remove(filepath.Join(s.dir, "waves", g.name)) // gone already is as good
+}
+
+// spillRef is a journaled payload location.
+type spillRef struct {
+	id  string
+	loc Loc
+}
+
+// replay folds the journal into per-job records and lists the spill
+// locations result events carry, in journal order. Lines that fail to
 // decode are counted and skipped — the expected case is a single torn
-// line at the tail where a crash cut an append short.
-func replay(path string) (map[string]*Record, int, error) {
+// line at the tail where a crash cut an append short. Lines may be of
+// any length: a tran result's final map lists every recorded signal.
+func replay(path string) (map[string]*Record, []spillRef, int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return map[string]*Record{}, 0, nil
+		return map[string]*Record{}, nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
+		return nil, nil, 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	recs := map[string]*Record{}
+	var spills []spillRef
 	torn := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
+	br := bufio.NewReaderSize(f, 1<<20)
+	for eof := false; !eof; {
+		line, err := br.ReadBytes('\n')
+		switch {
+		case err == io.EOF:
+			eof = true
+		case err != nil:
+			return nil, nil, 0, fmt.Errorf("store: replaying journal: %w", err)
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
 		if len(line) == 0 {
 			continue
 		}
@@ -240,11 +378,11 @@ func replay(path string) (map[string]*Record, int, error) {
 		case "result":
 			if r := recs[ev.ID]; r != nil {
 				r.State, r.Result = "done", ev.Result
+				if ev.Spill != nil {
+					spills = append(spills, spillRef{ev.ID, *ev.Spill})
+				}
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("store: replaying journal: %w", err)
 	}
 	for _, r := range recs {
 		switch r.State {
@@ -253,7 +391,7 @@ func replay(path string) (map[string]*Record, int, error) {
 			r.Interrupted = true
 		}
 	}
-	return recs, torn, nil
+	return recs, spills, torn, nil
 }
 
 // append journals one event. The write goes straight to the file (no
@@ -306,9 +444,11 @@ func (s *Store) State(id, state, errMsg string, attempts int, requeue bool) erro
 	return s.append(Event{T: time.Now().UTC(), Type: "state", ID: id, State: state, Error: errMsg, Attempts: attempts, Requeue: requeue})
 }
 
-// Result journals a finished job's scalar result (implies state done).
-func (s *Store) Result(id string, result json.RawMessage) error {
-	return s.append(Event{T: time.Now().UTC(), Type: "result", ID: id, Result: result})
+// Result journals a finished job's scalar result (implies state done)
+// and, when its payload spilled, the spill's location: the record is
+// the spill's commit point for the next Open.
+func (s *Store) Result(id string, result json.RawMessage, spill *Loc) error {
+	return s.append(Event{T: time.Now().UTC(), Type: "result", ID: id, Result: result, Spill: spill})
 }
 
 // Wedge makes every subsequent append fail with err, simulating the
@@ -362,70 +502,134 @@ func (s *Store) LoadDeck(hash string) (string, error) {
 	return string(data), nil
 }
 
-func (s *Store) wavePath(id string) string {
-	return filepath.Join(s.dir, "waves", id+".ndjson")
+// SpillWaves appends a job's waveform payload, written by the supplied
+// callback, to a segment no other spill is writing, flushes it (and
+// syncs it with fsync), and retains it as id's payload; a re-spill
+// replaces the old one. The caller journals the returned location
+// with the job's result. A failed spill retires its segment, so the
+// bytes it left are never followed by another payload and no offset
+// needs repair.
+func (s *Store) SpillWaves(id string, write func(io.Writer) error) (Loc, error) {
+	defer func(start time.Time) { s.spillNs.Add(int64(time.Since(start))) }(time.Now())
+	s.mu.Lock()
+	wedged := s.wedged
+	s.mu.Unlock()
+	if wedged != nil {
+		return Loc{}, wedged
+	}
+	g, err := s.takeSegment()
+	if err != nil {
+		return Loc{}, fmt.Errorf("store: %w", err)
+	}
+	loc := Loc{File: g.name, Off: g.size}
+	err = write(g)
+	if err != nil {
+		err = fmt.Errorf("spilling %s: %w", id, err)
+	} else if err = g.w.Flush(); err == nil && s.fsync {
+		err = g.f.Sync()
+	}
+	loc.Len = g.size - loc.Off
+
+	s.wavesMu.Lock()
+	defer s.wavesMu.Unlock()
+	if err != nil {
+		s.retire(g)
+		return Loc{}, fmt.Errorf("store: %w", err)
+	}
+	s.retain(id, loc)
+	if g.size >= segmentMax {
+		s.retire(g)
+	} else {
+		s.free = append(s.free, g)
+	}
+	s.spills.Add(1)
+	s.spillBytes.Add(loc.Len)
+	return loc, nil
 }
 
-// SpillWaves writes a job's waveform payload to disk via the supplied
-// writer callback (temp file + rename, so a crash mid-spill leaves no
-// half payload behind).
-func (s *Store) SpillWaves(id string, write func(io.Writer) error) (int64, error) {
-	var size int64
-	err := writeFileAtomic(s.wavePath(id), "spill-*", func(f *os.File) error {
-		bw := bufio.NewWriter(f)
-		if err := write(bw); err != nil {
-			return fmt.Errorf("spilling %s: %w", id, err)
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		size, _ = f.Seek(0, io.SeekEnd)
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
+// takeSegment hands a spill a free segment, creating one only when
+// none is free.
+func (s *Store) takeSegment() (*segment, error) {
+	s.wavesMu.Lock()
+	defer s.wavesMu.Unlock()
+	if n := len(s.free); n > 0 {
+		g := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return g, nil
 	}
-	s.ringMu.Lock()
-	if s.inRing[id] {
-		// A re-spill replaces the payload: it is now the newest.
-		s.ring = slices.DeleteFunc(s.ring, func(r string) bool { return r == id })
+	for {
+		name := fmt.Sprintf("seg-%d.ndjson", s.nextSeg)
+		s.nextSeg++
+		f, err := os.OpenFile(filepath.Join(s.dir, "waves", name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if os.IsExist(err) {
+			continue // another process on this dir took the name
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.waveFiles.Add(1)
+		g := &segment{name: name, f: f, w: bufio.NewWriterSize(f, segmentBuf)}
+		s.segs[name] = g
+		return g, nil
 	}
-	s.ring = append(s.ring, id)
-	s.inRing[id] = true
-	s.ringMu.Unlock()
-	s.spills.Add(1)
-	s.spillBytes.Add(size)
-	return size, nil
+}
+
+// retire closes a segment for appends and unlinks it if no retained
+// payload is in it (caller holds wavesMu). Its buffered bytes, if a
+// spill failed, are dropped.
+func (s *Store) retire(g *segment) {
+	g.retired = true
+	g.f.Close() // written bytes are flushed or belong to no payload
+	g.f, g.w = nil, nil
+	if g.live == 0 {
+		s.unlink(g)
+	}
 }
 
 // OpenWaves opens a spilled payload for streaming; ok=false when the
-// job has no spill on disk.
+// job has no retained payload. The reader keeps working if the payload
+// is pruned while it streams.
 func (s *Store) OpenWaves(id string) (io.ReadCloser, bool) {
-	f, err := os.Open(s.wavePath(id))
+	s.wavesMu.Lock()
+	defer s.wavesMu.Unlock()
+	loc, ok := s.locs[id]
+	if !ok {
+		return nil, false
+	}
+	f, err := os.Open(filepath.Join(s.dir, "waves", loc.File))
 	if err != nil {
 		return nil, false
 	}
-	return f, true
+	return section{io.NewSectionReader(f, loc.Off, loc.Len), f}, true
 }
 
+// section reads one payload of an open waves/ file.
+type section struct {
+	*io.SectionReader
+	f *os.File
+}
+
+func (r section) Close() error { return r.f.Close() }
+
 // PruneWaves drops the oldest spilled payloads beyond max, bounding the
-// data dir: retention is a ring of the most recent max spills. Only
-// files the store spilled (or found at Open) count; the directory is
-// never listed.
+// data dir: retention is a ring of the most recent max spills. A
+// segment goes once it is retired and none of its payloads is
+// retained, so disk use stays within max payloads plus one partly
+// pruned segment per concurrent spiller. Only payloads the store
+// spilled (or found at Open) count; the directory is never listed.
 func (s *Store) PruneWaves(max int) {
 	if max <= 0 {
 		return
 	}
-	s.ringMu.Lock()
-	defer s.ringMu.Unlock()
+	s.wavesMu.Lock()
+	defer s.wavesMu.Unlock()
 	for len(s.ring) > max {
 		id := s.ring[0]
 		s.ring[0] = ""
 		s.ring = s.ring[1:]
-		delete(s.inRing, id)
-		if os.Remove(s.wavePath(id)) == nil {
-			s.pruned.Add(1)
-		}
+		s.drop(id)
+		s.pruned.Add(1)
 	}
 }
 
@@ -438,19 +642,35 @@ func (s *Store) Counters() Counters {
 		WaveSpills:     s.spills.Load(),
 		WaveSpillBytes: s.spillBytes.Load(),
 		WavePruned:     s.pruned.Load(),
+		WaveFiles:      s.waveFiles.Load(),
+		WaveSpillMs:    float64(s.spillNs.Load()) / 1e6,
 		Replayed:       s.replayed.Load(),
 		TornLines:      s.tornLines.Load(),
 	}
 }
 
-// Close syncs and closes the journal.
+// Close closes the open segments, then syncs and closes the journal.
+// No spill may be running.
 func (s *Store) Close() error {
+	s.wavesMu.Lock()
+	var err error
+	for _, g := range s.free {
+		// Every spill flushed its payload; only the files remain.
+		if cerr := g.f.Close(); err == nil {
+			err = cerr
+		}
+		g.f, g.w, g.retired = nil, nil, true
+	}
+	s.free = nil
+	s.wavesMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return nil
+		return err
 	}
-	err := s.f.Sync()
+	if serr := s.f.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

@@ -3,11 +3,14 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +41,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := s.State("job-1", "running", "", 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Result("job-1", json.RawMessage(`{"kind":"mc"}`)); err != nil {
+	if err := s.Result("job-1", json.RawMessage(`{"kind":"mc"}`), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Submit("job-2", "k2", "h1", info, req); err != nil {
@@ -153,54 +156,49 @@ func TestDeckSaveLoad(t *testing.T) {
 	}
 }
 
-func TestWaveSpillAndPrune(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir)
-	for i, id := range []string{"job-1", "job-2", "job-3"} {
-		payload := strings.Repeat("x", 10+i)
-		if _, err := s.SpillWaves(id, func(w io.Writer) error {
-			_, err := io.WriteString(w, payload)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes so prune order is deterministic.
-		time.Sleep(5 * time.Millisecond)
+// spillT spills payload under id, journals its result with the
+// location as the server does, and fails the test on error.
+func spillT(t *testing.T, s *Store, id, payload string) Loc {
+	t.Helper()
+	loc, err := s.SpillWaves(id, func(w io.Writer) error {
+		_, err := io.WriteString(w, payload)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rc, ok := s.OpenWaves("job-2")
+	if err := s.Submit(id, id, "h", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Result(id, json.RawMessage(`{}`), &loc); err != nil {
+		t.Fatal(err)
+	}
+	return loc
+}
+
+// payload reads id's retained payload; ok=false when there is none.
+func payload(t *testing.T, s *Store, id string) (string, bool) {
+	t.Helper()
+	rc, ok := s.OpenWaves(id)
 	if !ok {
-		t.Fatal("spilled payload missing")
+		return "", false
 	}
-	data, _ := io.ReadAll(rc)
-	rc.Close()
-	if string(data) != strings.Repeat("x", 11) {
-		t.Fatalf("payload = %q", data)
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.PruneWaves(2)
-	if _, ok := s.OpenWaves("job-1"); ok {
-		t.Fatal("oldest spill survived prune")
+	return string(data), true
+}
+
+// spilled reports which of ids have a retained payload.
+func spilled(t *testing.T, s *Store, ids ...string) []bool {
+	t.Helper()
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		_, out[i] = payload(t, s, id)
 	}
-	if _, ok := s.OpenWaves("job-3"); !ok {
-		t.Fatal("newest spill pruned")
-	}
-	if c := s.Counters(); c.WaveSpills != 3 || c.WavePruned != 1 || c.WaveSpillBytes != 10+11+12 {
-		t.Fatalf("counters = %+v", c)
-	}
-	// A successful spill leaves only its payload, a failed one nothing:
-	// no spill-* temp file either way.
-	want := []string{"job-2.ndjson", "job-3.ndjson"}
-	if got := waveFiles(t, dir); !slices.Equal(got, want) {
-		t.Fatalf("waves/ after spills = %v, want %v", got, want)
-	}
-	if _, err := s.SpillWaves("job-err", func(io.Writer) error { return errors.New("no") }); err == nil {
-		t.Fatal("failed spill reported success")
-	}
-	if _, ok := s.OpenWaves("job-err"); ok {
-		t.Fatal("failed spill left a payload")
-	}
-	if got := waveFiles(t, dir); !slices.Equal(got, want) {
-		t.Fatalf("waves/ after a failed spill = %v, want %v", got, want)
-	}
+	return out
 }
 
 // waveFiles lists the file names in the data dir's waves/, sorted.
@@ -217,27 +215,52 @@ func waveFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// spillT spills payload under id and fails the test on error.
-func spillT(t *testing.T, s *Store, id, payload string) {
-	t.Helper()
-	if _, err := s.SpillWaves(id, func(w io.Writer) error {
-		_, err := io.WriteString(w, payload)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// spilled reports which of ids have a payload on disk.
-func spilled(s *Store, ids ...string) []bool {
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		if rc, ok := s.OpenWaves(id); ok {
-			rc.Close()
-			out[i] = true
+func TestWaveSpillAndPrune(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	for i, id := range []string{"job-1", "job-2", "job-3"} {
+		loc := spillT(t, s, id, strings.Repeat("x", 10+i))
+		if want := (Loc{File: "seg-0.ndjson", Off: int64(10*i + i*(i-1)/2), Len: int64(10 + i)}); loc != want {
+			t.Fatalf("%s spilled at %+v, want %+v: one segment, back to back", id, loc, want)
 		}
 	}
-	return out
+	if got, ok := payload(t, s, "job-2"); !ok || got != strings.Repeat("x", 11) {
+		t.Fatalf("job-2 payload = %q, %v", got, ok)
+	}
+	s.PruneWaves(2)
+	if got, want := spilled(t, s, "job-1", "job-2", "job-3"), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after PruneWaves(2) job-1/2/3 retained = %v, want %v", got, want)
+	}
+	c := s.Counters()
+	if c.WaveSpills != 3 || c.WavePruned != 1 || c.WaveSpillBytes != 10+11+12 || c.WaveFiles != 1 || c.WaveSpillMs <= 0 {
+		t.Fatalf("counters = %+v", c)
+	}
+	// A failed spill retains nothing and retires its segment, which
+	// stays while it holds retained payloads; the next spill creates a
+	// segment.
+	if _, err := s.SpillWaves("job-err", func(w io.Writer) error {
+		io.WriteString(w, "half a line")
+		return errors.New("no")
+	}); err == nil {
+		t.Fatal("failed spill reported success")
+	}
+	if _, ok := payload(t, s, "job-err"); ok {
+		t.Fatal("failed spill left a payload")
+	}
+	if loc := spillT(t, s, "job-4", "four"); loc != (Loc{File: "seg-1.ndjson", Len: 4}) {
+		t.Fatalf("spill after a failed one at %+v, want the start of a new segment", loc)
+	}
+	if got, want := waveFiles(t, dir), []string{"seg-0.ndjson", "seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ = %v, want %v", got, want)
+	}
+	if got, ok := payload(t, s, "job-3"); !ok || got != strings.Repeat("x", 12) {
+		t.Fatalf("job-3 after the failed spill = %q, %v", got, ok)
+	}
+	// The retired segment goes with its last retained payload.
+	s.PruneWaves(1)
+	if got, want := waveFiles(t, dir), []string{"seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ after pruning the retired segment's payloads = %v, want %v", got, want)
+	}
 }
 
 func TestPruneWavesFollowsSpillOrder(t *testing.T) {
@@ -246,28 +269,24 @@ func TestPruneWavesFollowsSpillOrder(t *testing.T) {
 	for _, id := range []string{"job-1", "job-2", "job-3"} {
 		spillT(t, s, id, id)
 	}
-	// A re-spill moves job-1 to the newest end; its mtime never decides.
+	// A re-spill replaces job-1's payload and moves it to the newest end.
 	spillT(t, s, "job-1", "again")
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, "waves", "job-1.ndjson"), old, old); err != nil {
-		t.Fatal(err)
-	}
 	// A file dropped behind the store's back is not in the ring: the
 	// directory is never listed, so it is neither counted nor pruned.
 	stray := filepath.Join(dir, "waves", "job-0.ndjson")
 	if err := os.WriteFile(stray, []byte("stray"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chtimes(stray, old, old); err != nil {
-		t.Fatal(err)
-	}
 	s.PruneWaves(2)
-	if got, want := spilled(s, "job-1", "job-2", "job-3"), []bool{true, false, true}; !slices.Equal(got, want) {
-		t.Fatalf("after PruneWaves(2) job-1/2/3 on disk = %v, want %v", got, want)
+	if got, want := spilled(t, s, "job-1", "job-2", "job-3"), []bool{true, false, true}; !slices.Equal(got, want) {
+		t.Fatalf("after PruneWaves(2) job-1/2/3 retained = %v, want %v", got, want)
+	}
+	if got, _ := payload(t, s, "job-1"); got != "again" {
+		t.Fatalf("re-spilled job-1 = %q", got)
 	}
 	s.PruneWaves(1)
-	if got, want := spilled(s, "job-1", "job-3"), []bool{true, false}; !slices.Equal(got, want) {
-		t.Fatalf("after PruneWaves(1) job-1/3 on disk = %v, want %v", got, want)
+	if got, want := spilled(t, s, "job-1", "job-3"), []bool{true, false}; !slices.Equal(got, want) {
+		t.Fatalf("after PruneWaves(1) job-1/3 retained = %v, want %v", got, want)
 	}
 	if _, err := os.Stat(stray); err != nil {
 		t.Fatalf("stray file pruned: %v", err)
@@ -280,17 +299,12 @@ func TestPruneWavesFollowsSpillOrder(t *testing.T) {
 func TestSpillRingSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	base := time.Now().Add(-time.Hour)
-	// Spill order job-3, job-1, job-2; mtimes say the same.
-	for i, id := range []string{"job-3", "job-1", "job-2"} {
+	for _, id := range []string{"job-3", "job-1", "job-2"} {
 		spillT(t, s, id, id)
-		mod := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, "waves", id+".ndjson"), mod, mod); err != nil {
-			t.Fatal(err)
-		}
 	}
 	s.Close()
-	// Temp files a crash left mid-spill and mid-deck-save.
+	// Temp files a crash left mid-spill (the per-job layout's) and
+	// mid-deck-save.
 	leftovers := []string{filepath.Join(dir, "waves", "spill-123"), filepath.Join(dir, "decks", "deck-456")}
 	for _, p := range leftovers {
 		if err := os.WriteFile(p, []byte("half"), 0o644); err != nil {
@@ -303,13 +317,232 @@ func TestSpillRingSurvivesReopen(t *testing.T) {
 			t.Errorf("Open left %s behind (%v)", p, err)
 		}
 	}
+	// The ring comes back in journal order.
 	s2.PruneWaves(2)
-	if got, want := spilled(s2, "job-3", "job-1", "job-2"), []bool{false, true, true}; !slices.Equal(got, want) {
-		t.Fatalf("after reopen + PruneWaves(2) job-3/1/2 on disk = %v, want %v", got, want)
+	if got, want := spilled(t, s2, "job-3", "job-1", "job-2"), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after reopen + PruneWaves(2) job-3/1/2 retained = %v, want %v", got, want)
 	}
-	spillT(t, s2, "job-4", "job-4")
+	// A new process never appends to an old segment.
+	if loc := spillT(t, s2, "job-4", "job-4"); loc.File != "seg-1.ndjson" || loc.Off != 0 {
+		t.Fatalf("first spill after reopen at %+v, want the start of seg-1.ndjson", loc)
+	}
 	s2.PruneWaves(2)
-	if got, want := spilled(s2, "job-1", "job-2", "job-4"), []bool{false, true, true}; !slices.Equal(got, want) {
-		t.Fatalf("after a new spill job-1/2/4 on disk = %v, want %v", got, want)
+	if got, want := spilled(t, s2, "job-1", "job-2", "job-4"), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after a new spill job-1/2/4 retained = %v, want %v", got, want)
+	}
+	if got, _ := payload(t, s2, "job-2"); got != "job-2" {
+		t.Fatalf("job-2 after reopen = %q", got)
+	}
+	s2.PruneWaves(1)
+	if got, want := waveFiles(t, dir), []string{"seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ once the old segment's payloads are pruned = %v, want %v", got, want)
+	}
+}
+
+func TestParentLayoutReplays(t *testing.T) {
+	// A data dir of the per-job layout: waves/<id>.ndjson files, result
+	// records without a location. Each file is adopted as a whole-file
+	// payload, older than any segment's, by modification time.
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	for _, id := range []string{"job-1", "job-2"} {
+		if err := s.Submit(id, id, "h", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Result(id, json.RawMessage(`{}`), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	base := time.Now().Add(-time.Hour)
+	for i, id := range []string{"job-2", "job-1"} {
+		p := filepath.Join(dir, "waves", id+".ndjson")
+		if err := os.WriteFile(p, []byte("payload of "+id), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mod := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(p, mod, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, recs := openT(t, dir)
+	if len(recs) != 2 || recs["job-1"].State != "done" {
+		t.Fatalf("replayed %+v", recs)
+	}
+	for _, id := range []string{"job-1", "job-2"} {
+		if got, ok := payload(t, s2, id); !ok || got != "payload of "+id {
+			t.Fatalf("%s = %q, %v", id, got, ok)
+		}
+	}
+	spillT(t, s2, "job-3", "job-3")
+	s2.PruneWaves(2)
+	if got, want := spilled(t, s2, "job-2", "job-1", "job-3"), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after PruneWaves(2) job-2/1/3 retained = %v, want %v", got, want)
+	}
+	if got, want := waveFiles(t, dir), []string{"job-1.ndjson", "seg-0.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ = %v, want %v", got, want)
+	}
+}
+
+func TestTornSegmentTailNeverServed(t *testing.T) {
+	// A crash mid-spill leaves bytes after the last journaled payload
+	// and no result record for them: a reopen serves the journaled
+	// payload, nothing of the tail, and appends to a new segment.
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	loc := spillT(t, s, "job-1", "complete\n")
+	s.Close()
+	seg := filepath.Join(dir, "waves", loc.File)
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"signal":"v(a)","seq":0,"t":[0,1`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s2, _ := openT(t, dir)
+	if got, ok := payload(t, s2, "job-1"); !ok || got != "complete\n" {
+		t.Fatalf("journaled payload after a torn tail = %q, %v", got, ok)
+	}
+	if loc := spillT(t, s2, "job-2", "job-2"); loc.File == "seg-0.ndjson" {
+		t.Fatalf("spill after reopen appended to the torn segment: %+v", loc)
+	}
+	// A location past the end of its file (a payload a power loss cut
+	// short of its record) is dropped, and a segment no record
+	// references is removed.
+	s2.Close()
+	if err := os.Truncate(seg, 3); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, "waves", "seg-7.ndjson")
+	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, _ := openT(t, dir)
+	if _, ok := payload(t, s3, "job-1"); ok {
+		t.Fatal("payload past the end of its segment served")
+	}
+	if got, want := waveFiles(t, dir), []string{"seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ = %v, want %v", got, want)
+	}
+	if loc := spillT(t, s3, "job-3", "job-3"); loc.File != "seg-8.ndjson" {
+		t.Fatalf("new segment %s, want seg-8.ndjson past every number seen", loc.File)
+	}
+}
+
+func TestSegmentUnlinkedAfterLastRetainedPayload(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	big := strings.Repeat("y", segmentMax/2)
+	spillT(t, s, "job-1", "small")
+	spillT(t, s, "job-2", big)
+	spillT(t, s, "job-3", big) // past segmentMax: seg-0 retires
+	spillT(t, s, "job-4", "next")
+	if got, want := waveFiles(t, dir), []string{"seg-0.ndjson", "seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ = %v, want %v", got, want)
+	}
+	// A stream opened before the unlink completes.
+	rc, ok := s.OpenWaves("job-3")
+	if !ok {
+		t.Fatal("job-3 not retained")
+	}
+	defer rc.Close()
+	for _, keep := range []int{3, 2} {
+		s.PruneWaves(keep)
+		if got, want := waveFiles(t, dir), []string{"seg-0.ndjson", "seg-1.ndjson"}; !slices.Equal(got, want) {
+			t.Fatalf("PruneWaves(%d) with seg-0 payloads retained: waves/ = %v", keep, got)
+		}
+	}
+	s.PruneWaves(1)
+	if got, want := waveFiles(t, dir), []string{"seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("after the last seg-0 payload went: waves/ = %v, want %v", got, want)
+	}
+	data, err := io.ReadAll(rc)
+	if err != nil || string(data) != big {
+		t.Fatalf("stream opened before the unlink read %d bytes, %v; want %d", len(data), err, len(big))
+	}
+}
+
+func TestConcurrentSpillsNeverShareSegment(t *testing.T) {
+	// Run under -race: a segment written by two spills at once races on
+	// its writer. Payloads must also read back whole and never overlap.
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	const spillers, each = 4, 25
+	locs := make([][]Loc, spillers)
+	var wg sync.WaitGroup
+	for w := 0; w < spillers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := fmt.Sprintf("job-%d-%d", w, i)
+				loc, err := s.SpillWaves(id, func(out io.Writer) error {
+					for k := 0; k < 10; k++ { // several writes per payload
+						if _, err := fmt.Fprintf(out, "%s line %d\n", id, k); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				locs[w] = append(locs[w], loc)
+			}
+		}()
+	}
+	wg.Wait()
+	byFile := map[string][]Loc{}
+	for w := range locs {
+		for i, loc := range locs[w] {
+			id := fmt.Sprintf("job-%d-%d", w, i)
+			var want strings.Builder
+			for k := 0; k < 10; k++ {
+				fmt.Fprintf(&want, "%s line %d\n", id, k)
+			}
+			if got, _ := payload(t, s, id); got != want.String() {
+				t.Fatalf("%s read back %q", id, got)
+			}
+			byFile[loc.File] = append(byFile[loc.File], loc)
+		}
+	}
+	for file, ls := range byFile {
+		sort.Slice(ls, func(i, j int) bool { return ls[i].Off < ls[j].Off })
+		for i := 1; i < len(ls); i++ {
+			if ls[i-1].Off+ls[i-1].Len != ls[i].Off {
+				t.Fatalf("%s: payloads at %+v and %+v are not back to back", file, ls[i-1], ls[i])
+			}
+		}
+	}
+	if c := s.Counters(); c.WaveFiles > spillers {
+		t.Fatalf("%d segments for %d concurrent spillers", c.WaveFiles, spillers)
+	}
+}
+
+func TestReplayReadsLongLines(t *testing.T) {
+	// A line of any length replays: a result document larger than a
+	// line-scanner's cap, then a normal record.
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	big := json.RawMessage(`{"kind":"tran","pad":"` + strings.Repeat("z", 17<<20) + `"}`)
+	if err := s.Submit("job-1", "k1", "h", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Result("job-1", big, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Submit("job-2", "k2", "h", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, recs := openT(t, dir)
+	if len(recs) != 2 || recs["job-1"].State != "done" || len(recs["job-1"].Result) != len(big) || recs["job-2"] == nil {
+		t.Fatalf("replay after a %d-byte line: %d records", len(big), len(recs))
+	}
+	if c := s2.Counters(); c.TornLines != 0 {
+		t.Fatalf("%d torn lines", c.TornLines)
 	}
 }

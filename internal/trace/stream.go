@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"sync"
 
 	"nanosim/internal/wave"
 )
@@ -93,11 +96,18 @@ func (r *Reader) Next() (Chunk, bool) {
 }
 
 // WriteNDJSON encodes every series of set to w as newline-delimited
-// JSON Chunks and returns the number of chunks written. On an encode
-// error (encoding/json refuses non-finite samples) w holds every
-// complete line before the failing chunk and nothing of it.
+// JSON Chunks and returns the number of chunks written. Each line is
+// the bytes encoding/json's Encoder writes for the Chunk, but it is
+// built by appending, without reflection: the floats use encoding/json's
+// float64 format, the name its HTML-safe escaping. A t array that is
+// bit-equal to the previous signal's t array of the same Seq (series
+// recorded on one time axis) copies that array's bytes instead of
+// formatting them again. JSON has no NaN or Inf: on a non-finite sample
+// w holds every complete line before the failing chunk and nothing of
+// it.
 func WriteNDJSON(w io.Writer, set *wave.Set, chunkSamples int) (int, error) {
-	enc := json.NewEncoder(w)
+	e := getEncoder()
+	defer e.release()
 	rd := NewReader(set, chunkSamples)
 	n := 0
 	for {
@@ -105,10 +115,175 @@ func WriteNDJSON(w io.Writer, set *wave.Set, chunkSamples int) (int, error) {
 		if !ok {
 			return n, nil
 		}
-		// Encode appends the newline NDJSON needs.
-		if err := enc.Encode(c); err != nil {
+		line, err := e.line(c)
+		if err != nil {
+			return n, fmt.Errorf("trace: NDJSON chunk %d: %w", n, err)
+		}
+		if _, err := w.Write(line); err != nil {
 			return n, fmt.Errorf("trace: NDJSON chunk %d: %w", n, err)
 		}
 		n++
 	}
+}
+
+// encoders keeps released encoders, and so their buffers, for later
+// calls. It is a free list, not a sync.Pool: a GC moves a Pool's
+// entries to a per-P victim cache that a call running on another P
+// cannot reach, and with two Ps and a GC every few jobs most calls
+// found no encoder and grew a new one's buffers.
+var encoders struct {
+	sync.Mutex
+	free []*ndjsonEncoder
+}
+
+const (
+	// maxFreeEncoders bounds the encoders kept: enough for the spills
+	// and streams that encode at once on a small host.
+	maxFreeEncoders = 8
+	// maxEncoderBytes is the buffer capacity past which an encoder is
+	// left to the GC, so one huge set does not pin its buffers.
+	maxEncoderBytes = 1 << 20
+)
+
+func getEncoder() *ndjsonEncoder {
+	encoders.Lock()
+	defer encoders.Unlock()
+	n := len(encoders.free)
+	if n == 0 {
+		return new(ndjsonEncoder)
+	}
+	e := encoders.free[n-1]
+	encoders.free[n-1] = nil
+	encoders.free = encoders.free[:n-1]
+	return e
+}
+
+// ndjsonEncoder builds one chunk line at a time. It keeps the formatted
+// t arrays of the signal being encoded and of the one before it, so a
+// chunk on the previous signal's time axis copies its bytes.
+type ndjsonEncoder struct {
+	buf       []byte // the line being built
+	name      []byte // the current signal's name as a JSON string
+	prev, cur axisBytes
+}
+
+// axisBytes holds one signal's formatted t arrays by Seq.
+type axisBytes struct {
+	buf  []byte      // the arrays' bytes, back to back
+	ends []int       // ends[seq]: where array seq ends in buf
+	t    [][]float64 // t[seq]: the samples it was formatted from
+}
+
+func (a *axisBytes) reset() {
+	a.buf, a.ends = a.buf[:0], a.ends[:0]
+	clear(a.t) // drop the references to the caller's series
+	a.t = a.t[:0]
+}
+
+// array returns the bytes of t array seq when it was formatted from
+// samples bit-equal to t, nil otherwise.
+func (a *axisBytes) array(seq int, t []float64) []byte {
+	if seq >= len(a.t) {
+		return nil
+	}
+	if p := a.t[seq]; len(p) != len(t) || (p == nil) != (t == nil) {
+		return nil
+	}
+	for i, x := range a.t[seq] {
+		if math.Float64bits(x) != math.Float64bits(t[i]) {
+			return nil
+		}
+	}
+	start := 0
+	if seq > 0 {
+		start = a.ends[seq-1]
+	}
+	return a.buf[start:a.ends[seq]]
+}
+
+// release drops the axes of this call, which reference the caller's
+// series, and keeps e for a later call. The line and name buffers are
+// overwritten before each use.
+func (e *ndjsonEncoder) release() {
+	e.prev.reset()
+	e.cur.reset()
+	if cap(e.buf)+cap(e.prev.buf)+cap(e.cur.buf) > maxEncoderBytes {
+		return
+	}
+	encoders.Lock()
+	if len(encoders.free) < maxFreeEncoders {
+		encoders.free = append(encoders.free, e)
+	}
+	encoders.Unlock()
+}
+
+// line encodes c, with its trailing newline, into e's line buffer. The
+// bytes stay valid until the next call.
+func (e *ndjsonEncoder) line(c Chunk) ([]byte, error) {
+	if c.Seq == 0 {
+		// A new signal: the one just encoded becomes the previous.
+		e.prev, e.cur = e.cur, e.prev
+		e.cur.reset()
+		name, err := json.Marshal(c.Signal)
+		if err != nil {
+			return nil, err
+		}
+		e.name = append(e.name[:0], name...)
+	}
+	b := append(e.buf[:0], `{"signal":`...)
+	b = append(b, e.name...)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendInt(b, int64(c.Seq), 10)
+	if c.Last {
+		b = append(b, `,"last":true`...)
+	}
+	b = append(b, `,"t":`...)
+	start := len(b)
+	if t := e.prev.array(c.Seq, c.T); t != nil {
+		b = append(b, t...)
+	} else {
+		var err error
+		if b, err = appendFloats(b, c.T); err != nil {
+			return nil, fmt.Errorf("%s seq %d t: %w", c.Signal, c.Seq, err)
+		}
+	}
+	e.cur.buf = append(e.cur.buf, b[start:]...)
+	e.cur.ends = append(e.cur.ends, len(e.cur.buf))
+	e.cur.t = append(e.cur.t, c.T)
+	b = append(b, `,"v":`...)
+	b, err := appendFloats(b, c.V)
+	if err != nil {
+		return nil, fmt.Errorf("%s seq %d v: %w", c.Signal, c.Seq, err)
+	}
+	e.buf = append(b, "}\n"...)
+	return e.buf, nil
+}
+
+// appendFloats appends xs as a JSON array (null for a nil slice) in
+// encoding/json's float64 format: the shortest representation that
+// round-trips, in 'f' format, or 'e' below 1e-6 and from 1e21 up, with
+// a two-digit negative exponent trimmed to one ("1e-7").
+func appendFloats(b []byte, xs []float64) ([]byte, error) {
+	if xs == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return b, fmt.Errorf("non-finite sample %s, which JSON cannot encode", strconv.FormatFloat(x, 'g', -1, 64))
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		format := byte('f')
+		if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, x, format, -1, 64)
+		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return append(b, ']'), nil
 }
