@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"os"
@@ -157,6 +158,13 @@ func TestEncodeFailureServesCompleteLines(t *testing.T) {
 		}
 		if m := s.Metrics(); m.Store.WaveFiles != 2 || m.Streams.FromDisk != 1 {
 			t.Fatalf("after a failed and a good spill: %d segment files, %d streams from disk; want 2 and 1", m.Store.WaveFiles, m.Streams.FromDisk)
+		}
+		// With the journal dead, a finished job does not spill and counts
+		// one store error.
+		s.store.Wedge(errors.New("disk gone"))
+		finishWith(s, "job-wedged", good)
+		if m := s.Metrics(); m.StoreErrors != 2 || m.Store.WaveSpills != 1 {
+			t.Fatalf("after a finish on a dead journal: %d store errors, %d spills; want 2 and 1", m.StoreErrors, m.Store.WaveSpills)
 		}
 	}
 }

@@ -202,8 +202,7 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	}
 }
 
-// copyDir copies the files of src, one level of subdirectories deep,
-// into dst.
+// copyDir copies the directory tree under src into dst.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {

@@ -461,22 +461,24 @@ func (s *Server) journalTerminal(j *job, state, errMsg string, res *Result, wave
 			break
 		}
 		var loc *store.Loc
+		var spillErr error
 		if waves != nil && waves.Len() > 0 {
 			// The spill is the one encode of this stream: every read
 			// copies its section of a segment. It is on disk before the
 			// result record that locates it is journaled.
-			l, serr := s.store.SpillWaves(j.id, func(w io.Writer) error {
+			var l store.Loc
+			l, spillErr = s.store.SpillWaves(j.id, func(w io.Writer) error {
 				_, werr := trace.WriteNDJSON(w, waves, s.cfg.ChunkSamples)
 				return werr
 			})
-			if spilled = serr == nil; spilled {
+			if spilled = spillErr == nil; spilled {
 				loc = &l
 				s.store.PruneWaves(s.cfg.MaxSpillWaves)
-			} else {
-				s.met.storeErrors.Add(1)
 			}
 		}
-		err = s.store.Result(j.id, raw, loc)
+		if err = s.store.Result(j.id, raw, loc); err == nil {
+			err = spillErr
+		}
 	case state == StateCanceled && errors.Is(context.Cause(j.ctx), errDrainCheckpoint):
 		err = s.store.State(j.id, "interrupted", errMsg, attempts, false)
 	default:

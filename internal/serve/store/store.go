@@ -273,9 +273,12 @@ func (s *Store) seedRing(spills []spillRef) error {
 		}
 	}
 	for name := range sizes {
-		if g := s.segs[name]; g != nil {
+		if g := s.segs[name]; g != nil && g.live > 0 {
 			g.retired = true
-		} else if err := os.Remove(filepath.Join(s.dir, "waves", name)); err != nil {
+			continue
+		}
+		delete(s.segs, name)
+		if err := os.Remove(filepath.Join(s.dir, "waves", name)); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 	}

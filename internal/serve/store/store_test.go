@@ -431,6 +431,34 @@ func TestTornSegmentTailNeverServed(t *testing.T) {
 	}
 }
 
+func TestOpenRemovesSupersededSegment(t *testing.T) {
+	// A re-spill into another segment while the first was held open
+	// leaves the first with no retained payload. The journal still
+	// locates job-1 in it, then in the new segment: a reopen keeps the
+	// newer payload and removes the file nothing retains.
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	spillT(t, s, "job-1", "first")
+	held, err := s.takeSegment() // seg-0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc := spillT(t, s, "job-1", "second"); loc.File != "seg-1.ndjson" {
+		t.Fatalf("re-spill at %+v, want seg-1.ndjson", loc)
+	}
+	s.wavesMu.Lock()
+	s.free = append(s.free, held)
+	s.wavesMu.Unlock()
+	s.Close()
+	s2, _ := openT(t, dir)
+	if got, ok := payload(t, s2, "job-1"); !ok || got != "second" {
+		t.Fatalf("job-1 after reopen = %q, %v", got, ok)
+	}
+	if got, want := waveFiles(t, dir), []string{"seg-1.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ after reopen = %v, want %v", got, want)
+	}
+}
+
 func TestSegmentUnlinkedAfterLastRetainedPayload(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
@@ -461,6 +489,23 @@ func TestSegmentUnlinkedAfterLastRetainedPayload(t *testing.T) {
 	data, err := io.ReadAll(rc)
 	if err != nil || string(data) != big {
 		t.Fatalf("stream opened before the unlink read %d bytes, %v; want %d", len(data), err, len(big))
+	}
+	// A segment still open for appends stays when its last payload is
+	// pruned: the next spill into it must read back.
+	held, err := s.takeSegment() // seg-1, as if a spill were writing it
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillT(t, s, "job-5", "five") // seg-2
+	s.wavesMu.Lock()
+	s.free = append(s.free, held)
+	s.wavesMu.Unlock()
+	s.PruneWaves(1) // job-4, seg-1's only payload
+	if loc := spillT(t, s, "job-6", "six"); loc.File != held.name {
+		t.Fatalf("job-6 spilled to %s, want the open %s", loc.File, held.name)
+	}
+	if got, ok := payload(t, s, "job-6"); !ok || got != "six" {
+		t.Fatalf("job-6 in an open segment whose payloads were all pruned = %q, %v", got, ok)
 	}
 }
 
