@@ -561,21 +561,18 @@ func (s *Store) takeSegment() (*segment, error) {
 		s.free = s.free[:n-1]
 		return g, nil
 	}
-	for {
-		name := fmt.Sprintf("seg-%d.ndjson", s.nextSeg)
-		s.nextSeg++
-		f, err := os.OpenFile(filepath.Join(s.dir, "waves", name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if os.IsExist(err) {
-			continue // another process on this dir took the name
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.waveFiles.Add(1)
-		g := &segment{name: name, f: f, w: bufio.NewWriterSize(f, segmentBuf)}
-		s.segs[name] = g
-		return g, nil
+	// Open numbered every segment it found below nextSeg; O_EXCL keeps
+	// a file that appeared since from being appended to.
+	name := fmt.Sprintf("seg-%d.ndjson", s.nextSeg)
+	s.nextSeg++
+	f, err := os.OpenFile(filepath.Join(s.dir, "waves", name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
 	}
+	s.waveFiles.Add(1)
+	g := &segment{name: name, f: f, w: bufio.NewWriterSize(f, segmentBuf)}
+	s.segs[name] = g
+	return g, nil
 }
 
 // retire closes a segment for appends and unlinks it if no retained
