@@ -231,7 +231,7 @@ func TestParentLayoutDataDirStreams(t *testing.T) {
 	// must replay, and stream and answer what a fresh run does.
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "parent-datadir"), dir)
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, MaxSpillWaves: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, MaxSpillWaves: 2})
 	_, fresh := newTestServer(t, Config{Workers: 1})
 	for id, deck := range map[string]string{"job-1": tranDeck, "job-2": mcDeck} {
 		ref := submit(t, fresh, SubmitRequest{Deck: deck}, http.StatusAccepted)
@@ -248,18 +248,52 @@ func TestParentLayoutDataDirStreams(t *testing.T) {
 			t.Fatalf("%s stream: HTTP %d, %d bytes; a fresh run streams %d", id, code, len(body), len(wantBody))
 		}
 	}
-	// The adopted files are older than any segment's payload: one new
-	// spill under MaxSpillWaves 1 prunes both.
-	info := submit(t, ts, SubmitRequest{Deck: tranDeck, Fresh: true}, http.StatusAccepted)
-	waitState(t, ts, info.ID, StateDone)
-	if ents, err := os.ReadDir(filepath.Join(dir, "waves")); err != nil || len(ents) != 1 || ents[0].Name() != "seg-0.ndjson" {
-		t.Fatalf("waves/ after a new spill: %v, %v; want seg-0.ndjson alone", ents, err)
+	// The adopted files are older than any segment's payload: two new
+	// spills under MaxSpillWaves 2 prune both.
+	for range 2 {
+		info := submit(t, ts, SubmitRequest{Deck: tranDeck, Fresh: true}, http.StatusAccepted)
+		waitState(t, ts, info.ID, StateDone)
 	}
-	if code, _ := getRaw(t, ts.URL+"/v1/jobs/job-1/stream"); code != http.StatusGone {
-		t.Fatalf("pruned job-1 stream: HTTP %d, want 410", code)
+	if ents, err := os.ReadDir(filepath.Join(dir, "waves")); err != nil || len(ents) != 1 || ents[0].Name() != "seg-0.ndjson" {
+		t.Fatalf("waves/ after two new spills: %v, %v; want seg-0.ndjson alone", ents, err)
+	}
+	for _, id := range []string{"job-1", "job-2"} {
+		if code, _ := getRaw(t, ts.URL+"/v1/jobs/"+id+"/stream"); code != http.StatusGone {
+			t.Fatalf("pruned %s stream: HTTP %d, want 410", id, code)
+		}
 	}
 	if m := s.Metrics(); m.Store.WaveFiles != 1 || m.Store.Replayed != 2 {
 		t.Fatalf("store counters %+v", *m.Store)
+	}
+}
+
+func TestPrunedStreamStaysGoneAfterRestart(t *testing.T) {
+	// A pruned payload's bytes stay in its segment while the segment is
+	// open or holds retained payloads. A restart must not serve them
+	// again: the stream that answered 410 still does.
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 1, DataDir: dir, MaxSpillWaves: 1})
+	old := submit(t, ts1, SubmitRequest{Deck: tranDeck}, http.StatusAccepted)
+	waitState(t, ts1, old.ID, StateDone)
+	kept := submit(t, ts1, SubmitRequest{Deck: tranDeck, Fresh: true}, http.StatusAccepted)
+	waitState(t, ts1, kept.ID, StateDone)
+	_, want := getRaw(t, ts1.URL+"/v1/jobs/"+kept.ID+"/stream")
+	if code, _ := getRaw(t, ts1.URL+"/v1/jobs/"+old.ID+"/stream"); code != http.StatusGone {
+		t.Fatalf("pruned stream before the restart: HTTP %d, want 410", code)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir, MaxSpillWaves: 1})
+	waitState(t, ts2, kept.ID, StateDone)
+	if code, _ := getRaw(t, ts2.URL+"/v1/jobs/"+old.ID+"/stream"); code != http.StatusGone {
+		t.Fatalf("pruned stream after the restart: HTTP %d, want 410", code)
+	}
+	if code, body := getRaw(t, ts2.URL+"/v1/jobs/"+kept.ID+"/stream"); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("retained stream after the restart: HTTP %d, %d bytes; want %d", code, len(body), len(want))
+	}
+	if m := s2.Metrics(); m.Store.WavePruned != 1 {
+		t.Fatalf("store counters after the restart %+v, want the one pruned at Open", *m.Store)
 	}
 }
 

@@ -234,6 +234,12 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Open retains every journaled payload still on disk, also those
+		// the last process pruned while their segment stayed. The ring
+		// comes back in journal order, the order the payloads spilled
+		// (up to finishes that journal in another order than they
+		// spilled), so pruning again drops what was pruned.
+		s.store.PruneWaves(cfg.MaxSpillWaves)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)

@@ -19,8 +19,10 @@
 // writing, and the job's result record carries its location (file,
 // offset, length): the record is the spill's commit point, so bytes a
 // crash left after the last recorded payload are never served. A
-// process appends only to segments it created. Payloads are retained
-// per job, newest first; a segment is unlinked once it is retired (past
+// process appends only to segments it created, and names them past
+// every segment the directory or the journal names, so a record never
+// locates a later file's bytes. Payloads are retained per job, newest
+// first; a segment is unlinked once it is retired (past
 // 4 MiB, after a failed spill, or created by an earlier process) and
 // none of its payloads is retained. A data dir written before segments
 // existed keeps its waves/<id>.ndjson files, each adopted as one
@@ -176,7 +178,9 @@ const (
 // Open creates (or reopens) the store at dir and replays the journal,
 // returning the recovered records keyed by job id. fsync selects
 // per-append fsync (restart-safe even across power loss, at a syscall
-// per event).
+// per event). The ring holds every journaled payload still on disk, in
+// journal order, also those an earlier process pruned while their
+// segment stayed: a caller prunes to its bound after Open.
 func Open(dir string, fsync bool) (*Store, map[string]*Record, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "decks"), filepath.Join(dir, "waves")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -214,9 +218,10 @@ func Open(dir string, fsync bool) (*Store, map[string]*Record, error) {
 // the whole-file payloads of the per-job layout (waves/<id>.ndjson, by
 // modification time, ties by name), then the journaled locations in
 // journal order. Every segment found is retired: this process appends
-// only to segments it creates, so a tail a crash tore stays
-// unreferenced. A segment no retained payload references, and a
-// location past the end of its file, are dropped.
+// only to segments it creates, numbered past every segment found or
+// named in the journal, so a tail a crash tore stays unreferenced and
+// no record locates a later file's bytes. A segment no retained payload
+// references, and a location past the end of its file, are dropped.
 func (s *Store) seedRing(spills []spillRef) error {
 	type aged struct {
 		id  string
@@ -246,15 +251,12 @@ func (s *Store) seedRing(spills []spillRef) error {
 			if err != nil {
 				continue
 			}
-			if num, ok := strings.CutPrefix(base, "seg-"); ok {
-				if n, err := strconv.Atoi(num); err == nil {
-					s.nextSeg = max(s.nextSeg, n+1)
-					sizes[name] = info.Size()
-					continue
-				}
+			sizes[name] = info.Size()
+			if n, ok := segNum(name); ok {
+				s.nextSeg = max(s.nextSeg, n+1)
+				continue
 			}
 			whole = append(whole, aged{base, info.ModTime()})
-			sizes[name] = info.Size()
 		}
 	}
 	sort.Slice(whole, func(i, j int) bool {
@@ -268,6 +270,11 @@ func (s *Store) seedRing(spills []spillRef) error {
 		s.retain(a.id, Loc{File: name, Len: sizes[name]})
 	}
 	for _, sp := range spills {
+		// A name a record gives is never used again, also once its file
+		// is gone: the record would locate bytes of the new file.
+		if n, ok := segNum(sp.loc.File); ok {
+			s.nextSeg = max(s.nextSeg, n+1)
+		}
 		if size, ok := sizes[sp.loc.File]; ok && sp.loc.Off >= 0 && sp.loc.Len >= 0 && sp.loc.Off+sp.loc.Len <= size {
 			s.retain(sp.id, sp.loc)
 		}
@@ -283,6 +290,20 @@ func (s *Store) seedRing(spills []spillRef) error {
 		}
 	}
 	return nil
+}
+
+// segNum parses a segment's file name, seg-<n>.ndjson.
+func segNum(name string) (int, bool) {
+	base, ok := strings.CutSuffix(name, ".ndjson")
+	if !ok {
+		return 0, false
+	}
+	num, ok := strings.CutPrefix(base, "seg-")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(num)
+	return n, err == nil
 }
 
 // retain makes loc id's newest payload (caller holds wavesMu, or owns
@@ -561,8 +582,9 @@ func (s *Store) takeSegment() (*segment, error) {
 		s.free = s.free[:n-1]
 		return g, nil
 	}
-	// Open numbered every segment it found below nextSeg; O_EXCL keeps
-	// a file that appeared since from being appended to.
+	// Open numbered every segment it found or the journal names below
+	// nextSeg; O_EXCL keeps a file that appeared since from being
+	// appended to.
 	name := fmt.Sprintf("seg-%d.ndjson", s.nextSeg)
 	s.nextSeg++
 	f, err := os.OpenFile(filepath.Join(s.dir, "waves", name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)

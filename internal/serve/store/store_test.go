@@ -302,6 +302,7 @@ func TestSpillRingSurvivesReopen(t *testing.T) {
 	for _, id := range []string{"job-3", "job-1", "job-2"} {
 		spillT(t, s, id, id)
 	}
+	s.PruneWaves(2) // job-3 goes; its bytes stay in the open segment
 	s.Close()
 	// Temp files a crash left mid-spill (the per-job layout's) and
 	// mid-deck-save.
@@ -317,7 +318,11 @@ func TestSpillRingSurvivesReopen(t *testing.T) {
 			t.Errorf("Open left %s behind (%v)", p, err)
 		}
 	}
-	// The ring comes back in journal order.
+	// The ring comes back in journal order, so pruning to the same bound
+	// at Open, as the server does, keeps the pruned job-3 gone.
+	if got := len(s2.ring); got != 3 {
+		t.Fatalf("reopened ring holds %d payloads, want the 3 still on disk", got)
+	}
 	s2.PruneWaves(2)
 	if got, want := spilled(t, s2, "job-3", "job-1", "job-2"), []bool{false, true, true}; !slices.Equal(got, want) {
 		t.Fatalf("after reopen + PruneWaves(2) job-3/1/2 retained = %v, want %v", got, want)
@@ -428,6 +433,61 @@ func TestTornSegmentTailNeverServed(t *testing.T) {
 	}
 	if loc := spillT(t, s3, "job-3", "job-3"); loc.File != "seg-8.ndjson" {
 		t.Fatalf("new segment %s, want seg-8.ndjson past every number seen", loc.File)
+	}
+}
+
+func TestSegmentNameNeverReused(t *testing.T) {
+	// Result records locate payloads by file name alone, so a segment
+	// name must never be created twice, also once its file is gone: a
+	// stale record would locate another job's bytes in the new file.
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	spillT(t, s, "job-1", "one")
+	held, err := s.takeSegment() // seg-0, as if a spill were writing it
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc := spillT(t, s, "job-2", "two"); loc.File != "seg-1.ndjson" {
+		t.Fatalf("job-2 spilled to %s, want seg-1.ndjson", loc.File)
+	}
+	if _, err := s.SpillWaves("job-err", func(io.Writer) error { return errors.New("no") }); err == nil {
+		t.Fatal("failed spill reported success")
+	}
+	s.wavesMu.Lock()
+	s.free = append(s.free, held)
+	s.wavesMu.Unlock()
+	spillT(t, s, "job-3", "three") // seg-0
+	s.PruneWaves(1)                // job-2 goes, and retired seg-1 with it
+	if got, want := waveFiles(t, dir), []string{"seg-0.ndjson"}; !slices.Equal(got, want) {
+		t.Fatalf("waves/ = %v, want %v", got, want)
+	}
+	s.Close()
+	s2, _ := openT(t, dir)
+	if loc := spillT(t, s2, "job-4", "four"); loc.File != "seg-2.ndjson" {
+		t.Fatalf("first spill after reopen in %s, want seg-2.ndjson: the journal names seg-1", loc.File)
+	}
+	s2.Close()
+	// A segment whose records all point past its end (a power loss) is
+	// removed at Open; a process that exits before it spills must not
+	// let the next one create that name again.
+	if err := os.Truncate(filepath.Join(dir, "waves", "seg-2.ndjson"), 2); err != nil {
+		t.Fatal(err)
+	}
+	s3, _ := openT(t, dir)
+	s3.Close()
+	s4, _ := openT(t, dir)
+	if loc := spillT(t, s4, "job-5", "fifth"); loc.File != "seg-3.ndjson" {
+		t.Fatalf("spill after the removed seg-2 in %s, want seg-3.ndjson", loc.File)
+	}
+	s4.Close()
+	s5, _ := openT(t, dir)
+	for _, id := range []string{"job-2", "job-4"} {
+		if got, ok := payload(t, s5, id); ok {
+			t.Fatalf("%s, whose segment is gone, is retained as %q", id, got)
+		}
+	}
+	if got, ok := payload(t, s5, "job-5"); !ok || got != "fifth" {
+		t.Fatalf("job-5 = %q, %v", got, ok)
 	}
 }
 

@@ -106,7 +106,7 @@ func (r *Reader) Next() (Chunk, bool) {
 // w holds every complete line before the failing chunk and nothing of
 // it.
 func WriteNDJSON(w io.Writer, set *wave.Set, chunkSamples int) (int, error) {
-	e := getEncoder()
+	e := encoders.Get().(*ndjsonEncoder)
 	defer e.release()
 	rd := NewReader(set, chunkSamples)
 	n := 0
@@ -127,36 +127,12 @@ func WriteNDJSON(w io.Writer, set *wave.Set, chunkSamples int) (int, error) {
 }
 
 // encoders keeps released encoders, and so their buffers, for later
-// calls. It is a free list, not a sync.Pool: a GC moves a Pool's
-// entries to a per-P victim cache that a call running on another P
-// cannot reach, and with two Ps and a GC every few jobs most calls
-// found no encoder and grew a new one's buffers.
-var encoders struct {
-	sync.Mutex
-	free []*ndjsonEncoder
-}
+// calls, as encoding/json keeps its encode states.
+var encoders = sync.Pool{New: func() any { return new(ndjsonEncoder) }}
 
-const (
-	// maxFreeEncoders bounds the encoders kept: enough for the spills
-	// and streams that encode at once on a small host.
-	maxFreeEncoders = 8
-	// maxEncoderBytes is the buffer capacity past which an encoder is
-	// left to the GC, so one huge set does not pin its buffers.
-	maxEncoderBytes = 1 << 20
-)
-
-func getEncoder() *ndjsonEncoder {
-	encoders.Lock()
-	defer encoders.Unlock()
-	n := len(encoders.free)
-	if n == 0 {
-		return new(ndjsonEncoder)
-	}
-	e := encoders.free[n-1]
-	encoders.free[n-1] = nil
-	encoders.free = encoders.free[:n-1]
-	return e
-}
+// maxEncoderBytes is the buffer capacity past which an encoder is left
+// to the GC, so one huge set does not pin its buffers.
+const maxEncoderBytes = 1 << 20
 
 // ndjsonEncoder builds one chunk line at a time. It keeps the formatted
 // t arrays of the signal being encoded and of the one before it, so a
@@ -210,11 +186,7 @@ func (e *ndjsonEncoder) release() {
 	if cap(e.buf)+cap(e.prev.buf)+cap(e.cur.buf) > maxEncoderBytes {
 		return
 	}
-	encoders.Lock()
-	if len(encoders.free) < maxFreeEncoders {
-		encoders.free = append(encoders.free, e)
-	}
-	encoders.Unlock()
+	encoders.Put(e)
 }
 
 // line encodes c, with its trailing newline, into e's line buffer. The
